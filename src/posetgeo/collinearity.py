@@ -1,8 +1,8 @@
 """Projection-pattern classification for an event against two chains.
 
 Each of the four projections Px, P'x (backward), Qx, Q'x is tested
-against three candidate composition identities; the column of the
-identity that holds is the digit.  Exactly five four-digit codes are
+against three candidate composed projections; the column of the one
+that reproduces it is the digit.  Exactly five four-digit codes are
 realisable, one per collinearity case.
 """
 
@@ -37,19 +37,6 @@ class SideClass(enum.Enum):
     NONE = "none"
 
 
-# Candidate composite identities, one row per projection of x.  Each
-# entry is (outer_direction, outer_chain, inner_direction, inner_chain)
-# with chains named by role; composition applies the inner map first.
-# Columns 0/1/2 follow the twelve-relation table: e.g. for Px the
-# candidates are PQx, PQ'x, P'Qx.
-_F, _B = "fwd", "bwd"
-_CANDIDATES = {
-    0: [(_F, "P", _F, "Q"), (_F, "P", _B, "Q"), (_B, "P", _F, "Q")],  # Px
-    1: [(_B, "P", _F, "Q"), (_B, "P", _B, "Q"), (_F, "P", _B, "Q")],  # P'x
-    2: [(_F, "Q", _F, "P"), (_F, "Q", _B, "P"), (_B, "Q", _F, "P")],  # Qx
-    3: [(_B, "Q", _F, "P"), (_B, "Q", _B, "P"), (_F, "Q", _B, "P")],  # Q'x
-}
-
 _LEGAL_CODES = {
     (2, 2, 0, 1): CollinearityCase.CASE_I,
     (1, 0, 1, 0): CollinearityCase.CASE_II,
@@ -77,6 +64,14 @@ class ProjCode:
         return "".join("u" if d is None else str(d) for d in self.digits)
 
 
+def _digit(target: int, c0: int | None, c1: int | None, c2: int | None) -> int | None:
+    """Index of the one candidate equal to target; None if none or several."""
+    hits = (c0 == target) + (c1 == target) + (c2 == target)
+    if hits != 1:
+        return None
+    return 0 if c0 == target else 1 if c1 == target else 2
+
+
 def projection_code(
     poset: Poset,
     x: int,
@@ -84,42 +79,39 @@ def projection_code(
     q: Chain,
     projector: Projector | None = None,
 ) -> ProjCode:
-    """Classify the four projections of x against chains p and q."""
+    """Classify the four projections of x against chains p and q.
+
+    Each digit names which of three composed projections reproduces the
+    target projection (columns follow the twelve-relation table):
+
+    ====  =======  ========  =======
+    row   col 0    col 1     col 2
+    ====  =======  ========  =======
+    Px    PQx      PQ'x      P'Qx
+    P'x   P'Qx     P'Q'x     PQ'x
+    Qx    QPx      QP'x      Q'Px
+    Q'x   Q'Px     Q'P'x     QP'x
+    ====  =======  ========  =======
+    """
     if p.chain_id == q.chain_id:
         raise ValueError("projection_code requires two distinct chains")
     pr = projector or Projector(poset)
-    chains = {"P": p, "Q": q}
-    base = {
-        (_F, "P"): pr.forward(x, p),
-        (_B, "P"): pr.backward(x, p),
-        (_F, "Q"): pr.forward(x, q),
-        (_B, "Q"): pr.backward(x, q),
-    }
-    if any(v is None for v in base.values()):
-        missing = [k for k, v in base.items() if v is None]
+    fwd, bwd = pr.forward, pr.backward
+    px, bpx, qx, bqx = fwd(x, p), bwd(x, p), fwd(x, q), bwd(x, q)
+    if px is None or bpx is None or qx is None or bqx is None:
+        base = zip(("Px", "P'x", "Qx", "Q'x"), (px, bpx, qx, bqx))
+        missing = [name for name, v in base if v is None]
         raise MissingProjection(f"projections {missing} of event {x} undefined")
-
-    digits: list[int | None] = []
-    for row in range(4):
-        # rows 0/1 target P-projections, rows 2/3 Q-projections
-        direction = _F if row in (0, 2) else _B
-        chain_role = "P" if row < 2 else "Q"
-        target = base[(direction, chain_role)]
-        held: list[int] = []
-        for col, (od, oc, idir, ic) in enumerate(_CANDIDATES[row]):
-            inner = base[(idir, ic)]
-            if inner is None:
-                continue
-            outer_chain = chains[oc]
-            composed = (
-                pr.forward(inner, outer_chain)
-                if od == _F
-                else pr.backward(inner, outer_chain)
-            )
-            if composed is not None and composed == target:
-                held.append(col)
-        digits.append(held[0] if len(held) == 1 else None)
-    return ProjCode(tuple(digits))
+    p_qx, p_bqx, bp_qx, bp_bqx = fwd(qx, p), fwd(bqx, p), bwd(qx, p), bwd(bqx, p)
+    q_px, q_bpx, bq_px, bq_bpx = fwd(px, q), fwd(bpx, q), bwd(px, q), bwd(bpx, q)
+    return ProjCode(
+        (
+            _digit(px, p_qx, p_bqx, bp_qx),
+            _digit(bpx, bp_qx, bp_bqx, p_bqx),
+            _digit(qx, q_px, q_bpx, bq_px),
+            _digit(bqx, bq_px, bq_bpx, q_bpx),
+        )
+    )
 
 
 def classify_collinearity(

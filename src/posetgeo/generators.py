@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import EmptyWorldline, InvalidMetric, UnknownChain
 from .poset import Chain, Poset
@@ -116,42 +116,9 @@ class MetricConfig:
                         )
 
 
-def _threshold_index(
-    ticks: Sequence[Fraction], t: Fraction, d2: Fraction
-) -> int:
-    """First index j with ticks[j] >= t and (ticks[j]-t)^2 >= d2."""
-    lo, hi = 0, len(ticks)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        dt = ticks[mid] - t
-        if dt >= 0 and dt * dt >= d2:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
-def _threshold_index_back(
-    ticks: Sequence[Fraction], t: Fraction, d2: Fraction
-) -> int:
-    """Last index j with ticks[j] <= t and (t-ticks[j])^2 >= d2, else -1."""
-    lo, hi = -1, len(ticks) - 1
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        dt = t - ticks[mid]
-        if dt >= 0 and dt * dt >= d2:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
-
-
 class MetricPoset:
     """A metric-generated poset bundle: the poset, one chain per
     worldline, and the exact squared-distance table that produced it.
-
-    Iterating yields (poset, chains) for call sites that only need the
-    order-theoretic pair.
     """
 
     def __init__(
@@ -166,9 +133,6 @@ class MetricPoset:
         self.config = config
         self._event_index = event_index
         self._by_id = {c.chain_id: c for c in chains}
-
-    def __iter__(self) -> Iterator:
-        return iter((self.poset, self.chains))
 
     def chain(self, position_id: str) -> Chain:
         try:

@@ -123,6 +123,21 @@ class Poset:
         except KeyError:
             raise UnknownEvent(f"unknown event {event}") from None
 
+    def up_mask(self, event: int) -> int:
+        """Bitmask of the rows of the events above event, itself included."""
+        return self._up[self._row(event)]
+
+    def down_mask(self, event: int) -> int:
+        """Bitmask of the rows of the events below event, itself included."""
+        return self._down[self._row(event)]
+
+    def rows_mask(self, events: Iterable[int]) -> int:
+        """Bitmask of the rows of events."""
+        mask = 0
+        for e in events:
+            mask |= 1 << self._row(e)
+        return mask
+
     def leq(self, a: int, b: int) -> bool:
         return bool(self._up[self._row(a)] >> self._row(b) & 1)
 
@@ -154,7 +169,7 @@ class Poset:
         return list(self._covers_cache)
 
     def is_chain(self, events: Iterable[int]) -> bool:
-        rows = sorted(self._row(e) for e in events)
+        rows = (self._row(e) for e in events)
         order = sorted(rows, key=lambda r: self._up[r].bit_count(), reverse=True)
         for x, y in zip(order, order[1:]):
             if not self._up[x] >> y & 1:

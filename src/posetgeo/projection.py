@@ -1,8 +1,14 @@
 """Chain projections and interval quantification.
 
-Forward/backward projections are binary searches along a chain (the
-predicate ``x <= p_i`` is monotone in the chain order), memoised per
-(event, chain) by :class:`Projector`.
+Forward/backward projections are rank queries over reachability
+bitmasks.  A chain lists its elements in poset order (``Chain.build``
+checks this, and the generators build chains that way), so the chain
+elements above x form a suffix and those below x a prefix.  With
+``mask`` the rows of the chain's elements, the forward projection is
+``elems[len(elems) - popcount(up[x] & mask)]`` and the backward
+projection ``elems[popcount(down[x] & mask) - 1]``; a popcount of 0
+means the projection does not exist.  :class:`Projector` keeps one mask
+per chain and memoises each (event, chain) answer.
 """
 
 from __future__ import annotations
@@ -51,6 +57,14 @@ class Projector:
         self.poset = poset
         self._fwd: dict[tuple[str, int], int | None] = {}
         self._bwd: dict[tuple[str, int], int | None] = {}
+        self._masks: dict[str, int] = {}
+
+    def _chain_mask(self, chain: Chain) -> int:
+        """Bitmask of the rows of the chain's elements, built once."""
+        mask = self._masks.get(chain.chain_id)
+        if mask is None:
+            mask = self._masks[chain.chain_id] = self.poset.rows_mask(chain.elements)
+        return mask
 
     def forward(self, x: int, chain: Chain) -> int | None:
         """min{p in chain | x <= p}, or None."""
@@ -60,14 +74,8 @@ class Projector:
         except KeyError:
             pass
         elems = chain.elements
-        lo, hi = 0, len(elems)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.poset.leq(x, elems[mid]):
-                hi = mid
-            else:
-                lo = mid + 1
-        result = elems[lo] if lo < len(elems) else None
+        above = (self.poset.up_mask(x) & self._chain_mask(chain)).bit_count()
+        result = elems[len(elems) - above] if above else None
         self._fwd[key] = result
         return result
 
@@ -78,25 +86,10 @@ class Projector:
             return self._bwd[key]
         except KeyError:
             pass
-        elems = chain.elements
-        lo, hi = -1, len(elems) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self.poset.leq(elems[mid], x):
-                lo = mid
-            else:
-                hi = mid - 1
-        result = elems[lo] if lo >= 0 else None
+        below = (self.poset.down_mask(x) & self._chain_mask(chain)).bit_count()
+        result = chain.elements[below - 1] if below else None
         self._bwd[key] = result
         return result
-
-
-def forward_project(poset: Poset, x: int, chain: Chain) -> int | None:
-    return Projector(poset).forward(x, chain)
-
-
-def backward_project(poset: Poset, x: int, chain: Chain) -> int | None:
-    return Projector(poset).backward(x, chain)
 
 
 def _require(value: int | None, what: str) -> int:

@@ -20,10 +20,6 @@ def fraction_to_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def fraction_from_str(s: str) -> Fraction:
-    return Fraction(s)
-
-
 def poset_to_doc(poset: Poset, chains: Sequence[Chain] = ()) -> dict:
     doc = {
         "events": list(poset.events()),
@@ -76,7 +72,7 @@ def poset_from_doc(doc: dict) -> tuple[Poset, dict[str, Chain]]:
     poset = Poset.from_closure(events, up)
     chains: dict[str, Chain] = {}
     for spec in doc.get("chains", []):
-        valuations = [fraction_from_str(s) for s in spec["valuations"]]
+        valuations = [Fraction(s) for s in spec["valuations"]]
         chain = Chain.build(poset, spec["id"], spec["events"], valuations)
         chains[chain.chain_id] = chain
     return poset, chains

@@ -20,7 +20,7 @@ from .coordination import (
     pythagoras_check,
     simplex_table,
 )
-from .errors import UnknownSuite
+from .errors import PosetGeoError, UnknownSuite
 from .fence import (
     dot_product,
     geometric_identity_check,
@@ -157,7 +157,7 @@ def _check_simplex(
         report.add(
             "simplex-table", {"chains": n, "mode": mode.value}, ";".join(cells), True
         )
-    except Exception as exc:
+    except PosetGeoError as exc:
         report.add(
             "simplex-table", {"chains": n, "mode": mode.value}, repr(exc), False
         )

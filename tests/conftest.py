@@ -31,6 +31,42 @@ def scan_backward(poset: Poset, x: int, chain: Chain) -> int | None:
     return max(below, key=chain.value)
 
 
+# The twelve-relation table of the projection code, kept here as an
+# oracle independent of the library's straight-line version.  Row d
+# holds the target projection of digit d, as (direction, chain role),
+# and its three candidates, as (outer direction, outer chain, inner
+# direction, inner chain): column 0 of the Px row is P(Qx).
+_CODE_TABLE = (
+    (("F", "P"), (("F", "P", "F", "Q"), ("F", "P", "B", "Q"), ("B", "P", "F", "Q"))),
+    (("B", "P"), (("B", "P", "F", "Q"), ("B", "P", "B", "Q"), ("F", "P", "B", "Q"))),
+    (("F", "Q"), (("F", "Q", "F", "P"), ("F", "Q", "B", "P"), ("B", "Q", "F", "P"))),
+    (("B", "Q"), (("B", "Q", "F", "P"), ("B", "Q", "B", "P"), ("F", "Q", "B", "P"))),
+)
+
+
+def reference_code(poset: Poset, x: int, p: Chain, q: Chain) -> str | None:
+    """Projection code of x against (p, q) by scan, in ``str(ProjCode)``
+    form, or None when a projection of x onto p or q is missing."""
+    chains = {"P": p, "Q": q}
+    scan = {"F": scan_forward, "B": scan_backward}
+
+    def project(direction, role, e):
+        return None if e is None else scan[direction](poset, e, chains[role])
+
+    if any(project(d, r, x) is None for d in "FB" for r in "PQ"):
+        return None
+    digits = ""
+    for (direction, role), candidates in _CODE_TABLE:
+        target = project(direction, role, x)
+        held = [
+            col
+            for col, (od, oc, idir, ic) in enumerate(candidates)
+            if project(od, oc, project(idir, ic, x)) == target
+        ]
+        digits += str(held[0]) if len(held) == 1 else "u"
+    return digits
+
+
 def warshall_closure(n: int, edges: list[tuple[int, int]]) -> np.ndarray:
     """Reflexive-transitive closure as a boolean matrix."""
     m = np.eye(n, dtype=bool)

@@ -10,6 +10,7 @@ from posetgeo import (
     QuantPair,
     Side,
     classify_interval,
+    grid_config,
     interval_scalar,
     quantify_event,
     quantify_interval_one_chain,
@@ -23,13 +24,16 @@ from posetgeo.poset import Chain
 from .conftest import scan_backward, scan_forward
 
 
-def test_projections_match_scan_oracle(lattice, lattice_projector):
-    poset = lattice.poset
-    pr = lattice_projector
-    for chain in lattice.chains:
+def _assert_projections_match_scan(poset, chains):
+    pr = Projector(poset)
+    for chain in chains:
         for x in poset.events():
             assert pr.forward(x, chain) == scan_forward(poset, x, chain)
             assert pr.backward(x, chain) == scan_backward(poset, x, chain)
+
+
+def test_projections_match_scan_oracle(lattice):
+    _assert_projections_match_scan(lattice.poset, lattice.chains)
 
 
 def test_projections_match_scan_oracle_on_random_dag():
@@ -42,10 +46,20 @@ def test_projections_match_scan_oracle_on_random_dag():
         if not chain_elems or poset.leq(chain_elems[-1], e):
             chain_elems.append(e)
     chain = Chain.build(poset, "c", chain_elems, list(range(len(chain_elems))))
-    pr = Projector(poset)
-    for x in poset.events():
-        assert pr.forward(x, chain) == scan_forward(poset, x, chain)
-        assert pr.backward(x, chain) == scan_backward(poset, x, chain)
+    _assert_projections_match_scan(poset, [chain])
+
+
+def test_projections_match_scan_oracle_on_grid():
+    bundle = grid_config(3, 4, 3, 4).bundle
+    _assert_projections_match_scan(bundle.poset, bundle.chains)
+
+
+def test_projections_match_scan_oracle_on_dual_grid():
+    # reversed chains on the order-reversed poset: suffix and prefix swap
+    bundle = grid_config(3, 4, 3, 4).bundle
+    _assert_projections_match_scan(
+        bundle.poset.dual(), [c.dual() for c in bundle.chains]
+    )
 
 
 def test_projection_idempotent_and_monotone(lattice, lattice_projector):
