@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
 
@@ -23,6 +24,7 @@ from .generators import (
     random_dag,
     simplex_config,
 )
+from .projection import Projector
 from .serialize import (
     dump_json,
     load_json,
@@ -36,19 +38,20 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 
-def _open_out(path: str | None):
+@contextmanager
+def _output(path: str | None):
+    """The output stream for --out: stdout for None or "-", else the file,
+    closed on exit."""
     if path is None or path == "-":
-        return sys.stdout
-    return open(path, "w", encoding="utf-8")
+        yield sys.stdout
+    else:
+        with open(path, "w", encoding="utf-8") as out:
+            yield out
 
 
 def _write(path: str | None, text: str) -> None:
-    out = _open_out(path)
-    try:
+    with _output(path) as out:
         out.write(text)
-    finally:
-        if out is not sys.stdout:
-            out.close()
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -74,24 +77,16 @@ def cmd_generate(args: argparse.Namespace) -> int:
             bundle = dotprod_config(args.scale).bundle
         elif kind == "randomdag":
             poset = random_dag(args.n, args.p, args.seed)
-            out = _open_out(args.out)
-            try:
+            with _output(args.out) as out:
                 dump_json(poset, [], out)
-            finally:
-                if out is not sys.stdout:
-                    out.close()
             return EXIT_PASS
         else:  # pragma: no cover - argparse restricts choices
             raise BadParams(f"unknown kind {kind!r}")
     except (ValueError, ZeroDivisionError) as exc:
         raise BadParams(str(exc)) from exc
 
-    out = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         dump_json(bundle.poset, bundle.chains, out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return EXIT_PASS
 
 
@@ -106,7 +101,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         pairs = [
             (require_chain(chains, args.chain_a), require_chain(chains, args.chain_b))
         ]
-    result = census(poset, pairs)
+    result = census(Projector(poset), pairs)
     if args.format == "csv":
         _write(args.out, result.to_csv())
     else:
@@ -140,12 +135,8 @@ def cmd_export(args: argparse.Namespace) -> int:
     if args.format == "dot":
         _write(args.out, to_dot(poset, chain_list))
     elif args.format == "json":
-        out = _open_out(args.out)
-        try:
+        with _output(args.out) as out:
             dump_json(poset, chain_list, out)
-        finally:
-            if out is not sys.stdout:
-                out.close()
     else:
         raise UnknownFormat(f"unsupported export format {args.format!r}")
     return EXIT_PASS

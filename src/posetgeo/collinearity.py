@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import InconsistentSides, MissingProjection
-from .poset import Chain, Poset
+from .poset import Chain
 from .projection import Projector
 
 
@@ -72,13 +72,7 @@ def _digit(target: int, c0: int | None, c1: int | None, c2: int | None) -> int |
     return 0 if c0 == target else 1 if c1 == target else 2
 
 
-def projection_code(
-    poset: Poset,
-    x: int,
-    p: Chain,
-    q: Chain,
-    projector: Projector | None = None,
-) -> ProjCode:
+def projection_code(pr: Projector, x: int, p: Chain, q: Chain) -> ProjCode:
     """Classify the four projections of x against chains p and q.
 
     Each digit names which of three composed projections reproduces the
@@ -95,7 +89,6 @@ def projection_code(
     """
     if p.chain_id == q.chain_id:
         raise ValueError("projection_code requires two distinct chains")
-    pr = projector or Projector(poset)
     fwd, bwd = pr.forward, pr.backward
     px, bpx, qx, bqx = fwd(x, p), bwd(x, p), fwd(x, q), bwd(x, q)
     if px is None or bpx is None or qx is None or bqx is None:
@@ -115,13 +108,9 @@ def projection_code(
 
 
 def classify_collinearity(
-    poset: Poset,
-    x: int,
-    p: Chain,
-    q: Chain,
-    projector: Projector | None = None,
+    pr: Projector, x: int, p: Chain, q: Chain
 ) -> CollinearityCase:
-    code = projection_code(poset, x, p, q, projector=projector)
+    code = projection_code(pr, x, p, q)
     return _LEGAL_CODES.get(code.digits, CollinearityCase.NOT_COLLINEAR)
 
 
@@ -132,15 +121,9 @@ _PROPER = {
 }
 
 
-def is_properly_collinear(
-    poset: Poset,
-    x: int,
-    p: Chain,
-    q: Chain,
-    projector: Projector | None = None,
-) -> bool:
+def is_properly_collinear(pr: Projector, x: int, p: Chain, q: Chain) -> bool:
     """True for the three order-reversal-invariant cases."""
-    return classify_collinearity(poset, x, p, q, projector=projector) in _PROPER
+    return classify_collinearity(pr, x, p, q) in _PROPER
 
 
 _SIDES = {
@@ -150,30 +133,17 @@ _SIDES = {
 }
 
 
-def side_of(
-    poset: Poset,
-    x: int,
-    p: Chain,
-    q: Chain,
-    projector: Projector | None = None,
-) -> SideClass:
-    case = classify_collinearity(poset, x, p, q, projector=projector)
+def side_of(pr: Projector, x: int, p: Chain, q: Chain) -> SideClass:
+    case = classify_collinearity(pr, x, p, q)
     return _SIDES.get(case, SideClass.NONE)
 
 
-def in_subspace(
-    poset: Poset,
-    x: int,
-    p: Chain,
-    q: Chain,
-    projector: Projector | None = None,
-) -> bool:
+def in_subspace(pr: Projector, x: int, p: Chain, q: Chain) -> bool:
     """Membership of x in the discrete subspace spanned by p and q.
 
     Chain elements belong by definition; other events must be properly
     collinear.  Missing projections yield False, never an error.
     """
-    pr = projector or Projector(poset)
     defined = all(
         f(x, c) is not None for c in (p, q) for f in (pr.forward, pr.backward)
     )
@@ -181,26 +151,21 @@ def in_subspace(
         return False
     if x in p or x in q:
         return True
-    return is_properly_collinear(poset, x, p, q, projector=pr)
+    return is_properly_collinear(pr, x, p, q)
 
 
 def chain_order(
-    poset: Poset,
-    x_chain: Chain,
-    p: Chain,
-    q: Chain,
-    projector: Projector | None = None,
+    pr: Projector, x_chain: Chain, p: Chain, q: Chain
 ) -> tuple[Chain, Chain, Chain]:
     """Order three chains from the side classification of x_chain's events.
 
     Canonical direction: the chain seen on the P side is placed least.
     Events whose projections are undefined (chain boundaries) are skipped.
     """
-    pr = projector or Projector(poset)
     sides = set()
     for e in x_chain.elements:
         try:
-            s = side_of(poset, e, p, q, projector=pr)
+            s = side_of(pr, e, p, q)
         except MissingProjection:
             continue
         if s is not SideClass.NONE:
@@ -218,11 +183,10 @@ def chain_order(
 
 
 def chains_properly_collinear(
-    poset: Poset,
+    pr: Projector,
     x_chain: Chain,
     p: Chain,
     q: Chain,
-    projector: Projector | None = None,
     events: Sequence[int] | None = None,
 ) -> bool:
     """Every event of x_chain properly collinear with (p, q), and the
@@ -234,7 +198,6 @@ def chains_properly_collinear(
     """
     if x_chain.chain_id in (p.chain_id, q.chain_id):
         raise ValueError("chains_properly_collinear requires distinct chains")
-    pr = projector or Projector(poset)
     window = list(events) if events is not None else list(x_chain.elements)
     if not window:
         return False
@@ -246,9 +209,7 @@ def chains_properly_collinear(
                 return False
             image.add(fwd)
             image.add(bwd)
-        if not all(
-            is_properly_collinear(poset, e, p, q, projector=pr) for e in window
-        ):
+        if not all(is_properly_collinear(pr, e, p, q) for e in window):
             return False
         idx = sorted(target.index_of(e) for e in image)
         if set(range(idx[0], idx[-1] + 1)) != set(idx):
@@ -293,19 +254,18 @@ class CensusResult:
 
 
 def census(
-    poset: Poset,
+    pr: Projector,
     chain_pairs: Iterable[tuple[Chain, Chain]],
     events: Sequence[int] | None = None,
 ) -> CensusResult:
     """Count the projection code of every (event, chain pair)."""
-    pr = Projector(poset)
     hist: Counter = Counter()
     total = 0
-    universe = events if events is not None else poset.events()
+    universe = events if events is not None else pr.poset.events()
     for p, q in chain_pairs:
         for x in universe:
             try:
-                code = projection_code(poset, x, p, q, projector=pr)
+                code = projection_code(pr, x, p, q)
             except MissingProjection:
                 continue
             hist[str(code)] += 1

@@ -15,7 +15,7 @@ from .errors import (
     Unquantifiable,
 )
 from .generators import PythagorasConfig, sqrt_exact
-from .poset import Chain, Poset
+from .poset import Chain
 from .projection import (
     IntervalClass,
     Projector,
@@ -36,12 +36,11 @@ def _window(chain: Chain, interval: tuple[int, int] | None) -> list[int]:
 
 
 def are_coordinated(
-    poset: Poset,
+    pr: Projector,
     p: Chain,
     q: Chain,
     p_interval: tuple[int, int] | None = None,
     q_interval: tuple[int, int] | None = None,
-    projector: Projector | None = None,
 ) -> bool:
     """Projections between the two windows are bijective and preserve
     every closed subinterval's valuation length.
@@ -52,7 +51,6 @@ def are_coordinated(
     """
     if p.chain_id == q.chain_id:
         return True
-    pr = projector or Projector(poset)
 
     if p_interval is None:
         wp = [e for e in p.elements if pr.forward(e, q) is not None]
@@ -107,14 +105,13 @@ def are_coordinated(
 
 
 def check_orthogonal_subspaces(
-    poset: Poset,
+    pr: Projector,
     p_chain: Chain,
     q_chain: Chain,
     r_chain: Chain,
     s_chain: Chain,
     p: int,
     q: int,
-    projector: Projector | None = None,
 ) -> bool:
     """Sufficient orthogonality condition between subspaces <PQ> and <RS>.
 
@@ -123,7 +120,6 @@ def check_orthogonal_subspaces(
     """
     if p not in p_chain or q not in q_chain:
         raise ValueError("p must lie on P and q on Q")
-    pr = projector or Projector(poset)
 
     def fwd(x: int, c: Chain) -> int:
         r = pr.forward(x, c)
@@ -188,8 +184,7 @@ def pythagoras_check(config: PythagorasConfig) -> bool:
         raise AlignmentError(
             f"hypotenuse sqrt({hyp_sq}) is not aligned with the integer tick lattice"
         )
-    poset = bundle.poset
-    pr = Projector(poset)
+    pr = Projector(bundle.poset)
     t = config.mid_tick
     p = bundle.event("P", t)
     o = bundle.event("O", t)
@@ -197,13 +192,13 @@ def pythagoras_check(config: PythagorasConfig) -> bool:
     chain_p, chain_o, chain_r = (bundle.chain(n) for n in ("P", "O", "R"))
 
     pair_po = quantify_interval_two_chains(
-        poset, p, o, chain_p, chain_o, projector=pr, check_between=False
+        pr, p, o, chain_p, chain_o, check_between=False
     )
     pair_or = quantify_interval_two_chains(
-        poset, o, r, chain_o, chain_r, projector=pr, check_between=False
+        pr, o, r, chain_o, chain_r, check_between=False
     )
     pair_pr = quantify_interval_two_chains(
-        poset, p, r, chain_p, chain_r, projector=pr, check_between=False
+        pr, p, r, chain_p, chain_r, check_between=False
     )
     if classify_interval(pair_pr) not in _ANTICHAIN_OK:
         return False
@@ -216,9 +211,7 @@ class SimplexMode(enum.Enum):
     PAIRWISE = "pairwise"
 
 
-def _aligned_interior_ticks(
-    poset: Poset, chains: Sequence[Chain], projector: Projector
-) -> list[Fraction]:
+def _aligned_interior_ticks(pr: Projector, chains: Sequence[Chain]) -> list[Fraction]:
     """Ticks present on every chain whose events project onto every
     other chain in both directions."""
     common = set(chains[0].valuation.values())
@@ -235,10 +228,7 @@ def _aligned_interior_ticks(
             for other in chains:
                 if other is c:
                     continue
-                if (
-                    projector.forward(e, other) is None
-                    or projector.backward(e, other) is None
-                ):
+                if pr.forward(e, other) is None or pr.backward(e, other) is None:
                     ok = False
                     break
             if not ok:
@@ -249,10 +239,9 @@ def _aligned_interior_ticks(
 
 
 def simplex_table(
-    poset: Poset,
+    pr: Projector,
     chains: Sequence[Chain],
     mode: SimplexMode | None = None,
-    projector: Projector | None = None,
 ) -> list[list[QuantPair | None]]:
     """Pair matrix of all cross-chain same-tick intervals.
 
@@ -260,8 +249,7 @@ def simplex_table(
     (i, j); the pair must be constant across all interior ticks, else
     the configuration is mixed.
     """
-    pr = projector or Projector(poset)
-    ticks = _aligned_interior_ticks(poset, chains, pr)
+    ticks = _aligned_interior_ticks(pr, chains)
     if not ticks:
         raise Unquantifiable("no aligned interior ticks across the chains")
     by_tick = [{v: e for e, v in c.valuation.items()} for c in chains]
@@ -273,12 +261,11 @@ def simplex_table(
                 continue
             pairs = {
                 quantify_interval_two_chains(
-                    poset,
+                    pr,
                     by_tick[i][t],
                     by_tick[j][t],
                     chains[i],
                     chains[j],
-                    projector=pr,
                     check_between=False,
                 ).components()
                 for t in ticks
@@ -317,15 +304,12 @@ def _validate_mode(
 
 
 def dimension_count(
-    poset: Poset,
-    chains: Sequence[Chain],
-    pairwise_equidistant: bool,
-    projector: Projector | None = None,
+    pr: Projector, chains: Sequence[Chain], pairwise_equidistant: bool
 ) -> tuple[int, int]:
     """(spatial, temporal) dimensions of the configuration: N
     equidistant chains span (N-1)+1, all-collinear chains span 1+1."""
     mode = SimplexMode.PAIRWISE if pairwise_equidistant else SimplexMode.COLLINEAR
-    simplex_table(poset, chains, mode=mode, projector=projector)
+    simplex_table(pr, chains, mode=mode)
     if pairwise_equidistant:
         return (len(chains) - 1, 1)
     return (1, 1)

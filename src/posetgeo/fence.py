@@ -20,16 +20,13 @@ from .errors import (
     Unquantifiable,
 )
 from .generators import MetricPoset
-from .poset import Chain, Poset
+from .poset import Chain
 from .projection import Projector
 
 
-def event_chain_distance_sq(
-    poset: Poset, x: int, chain: Chain, projector: Projector | None = None
-) -> Fraction:
+def event_chain_distance_sq(pr: Projector, x: int, chain: Chain) -> Fraction:
     """Squared distance from an event to a chain, from the antisymmetric
     part of the event's quantification against that chain."""
-    pr = projector or Projector(poset)
     f = pr.forward(x, chain)
     b = pr.backward(x, chain)
     if f is None or b is None:
@@ -38,23 +35,18 @@ def event_chain_distance_sq(
     return half * half
 
 
-def _event_chain_time(
-    poset: Poset, x: int, chain: Chain, projector: Projector
-) -> Fraction:
+def _event_chain_time(pr: Projector, x: int, chain: Chain) -> Fraction:
     """Symmetric component of the event's quantification against the chain."""
-    f = projector.forward(x, chain)
-    b = projector.backward(x, chain)
+    f = pr.forward(x, chain)
+    b = pr.backward(x, chain)
     if f is None or b is None:
         raise MissingProjection(f"event {x} does not project onto {chain.chain_id}")
     return (chain.value(f) + chain.value(b)) / 2
 
 
-def chain_pair_distance(
-    poset: Poset, p: Chain, q: Chain, projector: Projector | None = None
-) -> Fraction:
+def chain_pair_distance(pr: Projector, p: Chain, q: Chain) -> Fraction:
     """Distance between two parallel chains, measured by projecting an
     interior element of P through Q in both directions."""
-    pr = projector or Projector(poset)
     for e in p.elements:
         f, b = pr.forward(e, q), pr.backward(e, q)
         if f is not None and b is not None:
@@ -76,24 +68,18 @@ class Fence:
         return len(self.chains)
 
 
-def _interior_window(poset: Poset, chain: Chain, others: Sequence[Chain],
-                     projector: Projector) -> list[int]:
+def _interior_window(pr: Projector, chain: Chain, others: Sequence[Chain]) -> list[int]:
     out = []
     for e in chain.elements:
         if all(
-            projector.forward(e, o) is not None
-            and projector.backward(e, o) is not None
+            pr.forward(e, o) is not None and pr.backward(e, o) is not None
             for o in others
         ):
             out.append(e)
     return out
 
 
-def validate_fence(
-    poset: Poset,
-    chains: Sequence[Chain],
-    projector: Projector | None = None,
-) -> Fence:
+def validate_fence(pr: Projector, chains: Sequence[Chain]) -> Fence:
     """Check the fence axioms and return the validated Fence.
 
     Needs at least three chains. Adjacent chains must be coordinated and
@@ -103,11 +89,10 @@ def validate_fence(
     """
     if len(chains) < 3:
         raise ValueError("a fence needs at least three chains")
-    pr = projector or Projector(poset)
 
     spacings = []
     for a, b in zip(chains, chains[1:]):
-        spacings.append(chain_pair_distance(poset, a, b, pr))
+        spacings.append(chain_pair_distance(pr, a, b))
     if len(set(spacings)) != 1:
         raise NonUniformSpacing(f"adjacent chain distances differ: {spacings}")
     spacing = spacings[0]
@@ -115,24 +100,23 @@ def validate_fence(
         raise NonUniformSpacing(f"degenerate spacing {spacing}")
 
     for a, b in zip(chains, chains[1:]):
-        if not are_coordinated(poset, a, b, projector=pr):
+        if not are_coordinated(pr, a, b):
             raise NotCoordinated(f"{a.chain_id} and {b.chain_id} are not coordinated")
 
     # collinearity of consecutive triples extends to the whole family by
     # transitivity of betweenness along a uniformly spaced line
     for left, mid, right in zip(chains, chains[1:], chains[2:]):
-        window = _interior_window(poset, mid, (left, right), pr)
+        window = _interior_window(pr, mid, (left, right))
         if not window:
             raise NotCollinear(
                 f"{mid.chain_id} has no events projecting through both neighbours"
             )
-        if not chains_properly_collinear(poset, mid, left, right, events=window,
-                                         projector=pr):
+        if not chains_properly_collinear(pr, mid, left, right, events=window):
             raise NotCollinear(
                 f"{mid.chain_id} is not properly collinear with "
                 f"{left.chain_id} and {right.chain_id}"
             )
-        if side_of(poset, window[len(window) // 2], left, right, pr) is not SideClass.BETWEEN:
+        if side_of(pr, window[len(window) // 2], left, right) is not SideClass.BETWEEN:
             raise NotCollinear(
                 f"{mid.chain_id} does not lie between {left.chain_id} "
                 f"and {right.chain_id}"
@@ -151,17 +135,13 @@ def shared_chains(fence_a: Fence, fence_b: Fence) -> list[tuple[int, int]]:
     return out
 
 
-def parallel_postulate_check(
-    poset: Poset,
-    fence_a: Fence,
-    fence_b: Fence,
-    projector: Projector | None = None,
-) -> bool:
+def parallel_postulate_check(pr: Projector, fence_a: Fence, fence_b: Fence) -> bool:
     """Two equal-spacing fences sharing at least two chains must agree
     chain-by-chain over their common extent.
 
     Vacuously true with fewer than two shared chains. Raises
-    SpacingMismatch when the spacings differ.
+    SpacingMismatch when the spacings differ.  The fences were validated
+    against ``pr``; the check itself compares chain positions only.
     """
     if fence_a.spacing != fence_b.spacing:
         raise SpacingMismatch(
@@ -199,13 +179,7 @@ class DotResult:
 
 
 def dot_product(
-    poset: Poset,
-    x: int,
-    y: int,
-    fence: Fence,
-    i: int,
-    j: int,
-    projector: Projector | None = None,
+    pr: Projector, x: int, y: int, fence: Fence, i: int, j: int
 ) -> DotResult:
     """Discrete dot product of the displacement [x, y] with the fence
     direction, quantified against chains i and j of the fence.
@@ -216,11 +190,10 @@ def dot_product(
     """
     if i == j:
         raise ValueError("need two distinct fence chains")
-    pr = projector or Projector(poset)
     p, q = fence.chains[i], fence.chains[j]
     for c in (p, q):
-        tx = _event_chain_time(poset, x, c, pr)
-        ty = _event_chain_time(poset, y, c, pr)
+        tx = _event_chain_time(pr, x, c)
+        ty = _event_chain_time(pr, y, c)
         if tx != ty:
             raise TimeMismatch(
                 f"events {x} and {y} differ in time against {c.chain_id}: "
@@ -228,10 +201,10 @@ def dot_product(
             )
     dpq = abs(i - j) * fence.spacing
     num = (
-        event_chain_distance_sq(poset, y, p, pr)
-        - event_chain_distance_sq(poset, x, p, pr)
-        - event_chain_distance_sq(poset, y, q, pr)
-        + event_chain_distance_sq(poset, x, q, pr)
+        event_chain_distance_sq(pr, y, p)
+        - event_chain_distance_sq(pr, x, p)
+        - event_chain_distance_sq(pr, y, q)
+        + event_chain_distance_sq(pr, x, q)
     )
     signed = num / (2 * dpq)
     return DotResult(signed=signed, magnitude=abs(signed), scaled=signed * dpq)
@@ -259,11 +232,7 @@ class Grid:
         return self.col_fences[0].spacing
 
 
-def validate_grid(
-    poset: Poset,
-    chain_array: Sequence[Sequence[Chain]],
-    projector: Projector | None = None,
-) -> Grid:
+def validate_grid(pr: Projector, chain_array: Sequence[Sequence[Chain]]) -> Grid:
     """Validate every row and column as a fence and check the rows are
     mutually parallel, likewise the columns."""
     m, n = len(chain_array), len(chain_array[0])
@@ -271,12 +240,10 @@ def validate_grid(
         raise ValueError("a grid needs at least 3 rows and 3 columns")
     if any(len(row) != n for row in chain_array):
         raise ValueError("ragged chain array")
-    pr = projector or Projector(poset)
 
-    rows = tuple(validate_fence(poset, row, pr) for row in chain_array)
+    rows = tuple(validate_fence(pr, row) for row in chain_array)
     cols = tuple(
-        validate_fence(poset, [chain_array[i][k] for i in range(m)], pr)
-        for k in range(n)
+        validate_fence(pr, [chain_array[i][k] for i in range(m)]) for k in range(n)
     )
     for fences in (rows, cols):
         spacings = {f.spacing for f in fences}
@@ -285,7 +252,7 @@ def validate_grid(
         base = fences[0]
         for other in fences[1:]:
             try:
-                if not parallel_postulate_check(poset, base, other, pr):
+                if not parallel_postulate_check(pr, base, other):
                     raise NotParallel(
                         "fences share chains but disagree on their ordering"
                     )
@@ -299,20 +266,13 @@ def validate_grid(
 
 
 def grid_displacement_sq(
-    poset: Poset,
-    x: int,
-    y: int,
-    grid: Grid,
-    row_x: int,
-    row_y: int,
-    projector: Projector | None = None,
+    pr: Projector, x: int, y: int, grid: Grid, row_x: int, row_y: int
 ) -> Fraction:
     """Squared length of [x, y] from its orthogonal components: the
     along-row part from the signed dot product, the across-row part from
     the row offset."""
-    pr = projector or Projector(poset)
     fence = grid.row_fences[row_x]
-    dot = dot_product(poset, x, y, fence, 0, len(fence) - 1, pr)
+    dot = dot_product(pr, x, y, fence, 0, len(fence) - 1)
     par = dot.signed
     perp = (row_y - row_x) * grid.col_spacing
     return par * par + perp * perp
@@ -338,7 +298,7 @@ def is_orthogonal_grid(grid: Grid, metric: MetricPoset) -> bool:
 
 
 def wedge_product(
-    poset: Poset,
+    pr: Projector,
     x: int,
     y: int,
     grid: Grid,
@@ -346,25 +306,24 @@ def wedge_product(
     row_y: int,
     i: int,
     j: int,
-    projector: Projector | None = None,
 ) -> Fraction:
     """Discrete wedge product of [x, y] against the direction of the row
     fences, in the distance-weighted form: (perpendicular displacement)
     times the chain-pair distance |i - j| * spacing.
 
     x must sit on a chain of row_x and y on a chain of row_y; their row
-    indices supply the exact perpendicular displacement.
+    indices supply the exact perpendicular displacement.  The body uses
+    the indices only: the rows are fences validated against ``pr``.
     """
     if i == j:
         raise ValueError("need two distinct fence chains")
-    del poset, projector  # rows are validated fences; indices carry the geometry
     perp = (row_y - row_x) * grid.col_spacing
     dpq = abs(i - j) * grid.row_spacing
     return perp * dpq
 
 
 def geometric_identity_check(
-    poset: Poset,
+    pr: Projector,
     x: int,
     y: int,
     grid: Grid,
@@ -372,15 +331,13 @@ def geometric_identity_check(
     row_y: int,
     i: int,
     j: int,
-    projector: Projector | None = None,
 ) -> tuple[Fraction, Fraction, Fraction]:
     """Verify D(x,y)^2 * D(P_i,P_j)^2 == dot^2 + wedge^2 for the
     distance-weighted products; returns (lhs, dot, wedge)."""
-    pr = projector or Projector(poset)
     fence = grid.row_fences[row_x]
-    dot = dot_product(poset, x, y, fence, i, j, pr)
-    wedge = wedge_product(poset, x, y, grid, row_x, row_y, i, j, pr)
-    dxy_sq = grid_displacement_sq(poset, x, y, grid, row_x, row_y, pr)
+    dot = dot_product(pr, x, y, fence, i, j)
+    wedge = wedge_product(pr, x, y, grid, row_x, row_y, i, j)
+    dxy_sq = grid_displacement_sq(pr, x, y, grid, row_x, row_y)
     dpq = abs(i - j) * grid.row_spacing
     lhs = dxy_sq * dpq * dpq
     if lhs != dot.scaled * dot.scaled + wedge * wedge:

@@ -209,13 +209,7 @@ def build_metric_poset(
                 if j1 >= 0:
                     down[row] |= full_mask[wj] & ((1 << (off_j + j1 + 1)) - 1)
 
-    poset = Poset.__new__(Poset)
-    poset._ids = list(range(total))
-    poset._index = {i: i for i in range(total)}
-    poset._up = up
-    poset._down = down
-    poset._frozen = True
-    poset._covers_cache = None
+    poset = Poset._from_masks(range(total), up, down, frozen=True)
 
     chains = []
     event_index: dict[tuple[str, Fraction], int] = {}

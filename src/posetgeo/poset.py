@@ -56,7 +56,6 @@ class Poset:
         bit = 1 << row
         self._up.append(bit)
         self._down.append(bit)
-        self._covers_cache = None
         return self
 
     def add_influence(self, a: int, b: int) -> "Poset":
@@ -76,7 +75,6 @@ class Poset:
             self._up[x] |= up_b
         for y in _bits(up_b):
             self._down[y] |= down_a
-        self._covers_cache = None
         return self
 
     def freeze(self) -> "Poset":
@@ -88,6 +86,22 @@ class Poset:
         return self._frozen
 
     @classmethod
+    def _from_masks(
+        cls, ids: Sequence[int], up: list[int], down: list[int], frozen: bool
+    ) -> "Poset":
+        """Bulk constructor from closed, mutually transposed up/down masks
+        whose row i belongs to ids[i].  Checks nothing: the callers
+        either check the masks or build them closed by construction."""
+        poset = cls.__new__(cls)
+        poset._ids = list(ids)
+        poset._index = {e: i for i, e in enumerate(poset._ids)}
+        poset._up = up
+        poset._down = down
+        poset._frozen = frozen
+        poset._covers_cache = None
+        return poset
+
+    @classmethod
     def from_closure(
         cls, ids: Sequence[int], up_masks: Sequence[int]
     ) -> "Poset":
@@ -96,24 +110,20 @@ class Poset:
         The caller guarantees the masks are reflexive and transitively
         closed; antisymmetry is checked.
         """
-        poset = cls()
         n = len(ids)
-        poset._ids = list(ids)
-        poset._index = {e: i for i, e in enumerate(ids)}
-        if len(poset._index) != n:
+        if len(set(ids)) != n:
             raise DuplicateEvent("duplicate event ids")
-        poset._up = list(up_masks)
+        up = list(up_masks)
         down = [1 << i for i in range(n)]
-        for i, mask in enumerate(poset._up):
+        for i, mask in enumerate(up):
             if not mask >> i & 1:
                 raise ValueError("closure mask not reflexive")
             for j in _bits(mask):
                 if j != i:
-                    if poset._up[j] >> i & 1:
+                    if up[j] >> i & 1:
                         raise CycleViolation("closure mask not antisymmetric")
                     down[j] |= 1 << i
-        poset._down = down
-        return poset
+        return cls._from_masks(ids, up, down, frozen=False)
 
     # -- queries -------------------------------------------------------
 
@@ -155,8 +165,9 @@ class Poset:
         return (self._up[ia] & self._down[ib]).bit_count() == 2
 
     def cover_pairs(self) -> list[tuple[int, int]]:
-        """The transitive reduction, as (lower, upper) event pairs."""
-        if self._covers_cache is None or not self._frozen:
+        """The transitive reduction, as (lower, upper) event pairs; cached
+        once the poset is frozen."""
+        if self._covers_cache is None:
             pairs = []
             for ia, a in enumerate(self._ids):
                 strict = self._up[ia] & ~(1 << ia)
@@ -181,13 +192,9 @@ class Poset:
 
     def dual(self) -> "Poset":
         """The order-reversed poset (same events, relation flipped)."""
-        rev = Poset()
-        rev._ids = list(self._ids)
-        rev._index = dict(self._index)
-        rev._up = list(self._down)
-        rev._down = list(self._up)
-        rev._frozen = self._frozen
-        return rev
+        return Poset._from_masks(
+            self._ids, list(self._down), list(self._up), self._frozen
+        )
 
     def __len__(self) -> int:
         return len(self._ids)

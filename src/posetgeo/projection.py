@@ -9,6 +9,9 @@ elements above x form a suffix and those below x a prefix.  With
 projection ``elems[popcount(down[x] & mask) - 1]``; a popcount of 0
 means the projection does not exist.  :class:`Projector` keeps one mask
 per chain and memoises each (event, chain) answer.
+
+The Projector is the one context of every geometry function in this
+package: each takes ``pr`` first and reads the poset as ``pr.poset``.
 """
 
 from __future__ import annotations
@@ -51,24 +54,28 @@ class QuantPair:
 
 
 class Projector:
-    """Projection engine over a frozen poset, with memoisation."""
+    """Projection engine over a frozen poset, with memoisation.
+
+    Memo entries and masks are keyed by the Chain object itself, not by
+    its id, so two chains that share an id never share answers.
+    """
 
     def __init__(self, poset: Poset) -> None:
         self.poset = poset
-        self._fwd: dict[tuple[str, int], int | None] = {}
-        self._bwd: dict[tuple[str, int], int | None] = {}
-        self._masks: dict[str, int] = {}
+        self._fwd: dict[tuple[Chain, int], int | None] = {}
+        self._bwd: dict[tuple[Chain, int], int | None] = {}
+        self._masks: dict[Chain, int] = {}
 
     def _chain_mask(self, chain: Chain) -> int:
         """Bitmask of the rows of the chain's elements, built once."""
-        mask = self._masks.get(chain.chain_id)
+        mask = self._masks.get(chain)
         if mask is None:
-            mask = self._masks[chain.chain_id] = self.poset.rows_mask(chain.elements)
+            mask = self._masks[chain] = self.poset.rows_mask(chain.elements)
         return mask
 
     def forward(self, x: int, chain: Chain) -> int | None:
         """min{p in chain | x <= p}, or None."""
-        key = (chain.chain_id, x)
+        key = (chain, x)
         try:
             return self._fwd[key]
         except KeyError:
@@ -81,7 +88,7 @@ class Projector:
 
     def backward(self, x: int, chain: Chain) -> int | None:
         """max{p in chain | p <= x}, or None."""
-        key = (chain.chain_id, x)
+        key = (chain, x)
         try:
             return self._bwd[key]
         except KeyError:
@@ -98,23 +105,15 @@ def _require(value: int | None, what: str) -> int:
     return value
 
 
-def quantify_event(
-    poset: Poset, x: int, chain: Chain, projector: Projector | None = None
-) -> QuantPair:
+def quantify_event(pr: Projector, x: int, chain: Chain) -> QuantPair:
     """Quantify event x by the valuations of its two projections."""
-    pr = projector or Projector(poset)
     fwd = _require(pr.forward(x, chain), f"forward projection of {x}")
     bwd = _require(pr.backward(x, chain), f"backward projection of {x}")
     return QuantPair(chain.value(fwd), chain.value(bwd), (chain.chain_id,))
 
 
 def quantify_interval_one_chain(
-    poset: Poset,
-    x: int,
-    y: int,
-    chain: Chain,
-    side: Side,
-    projector: Projector | None = None,
+    pr: Projector, x: int, y: int, chain: Chain, side: Side
 ) -> QuantPair:
     """Quantify [x, y] against a single chain.
 
@@ -122,7 +121,6 @@ def quantify_interval_one_chain(
     STRADDLING crosses them, for intervals lying on both sides of the
     chain.
     """
-    pr = projector or Projector(poset)
     px = _require(pr.forward(x, chain), f"forward projection of {x}")
     bx = _require(pr.backward(x, chain), f"backward projection of {x}")
     py = _require(pr.forward(y, chain), f"forward projection of {y}")
@@ -134,12 +132,11 @@ def quantify_interval_one_chain(
 
 
 def quantify_interval_two_chains(
-    poset: Poset,
+    pr: Projector,
     x: int,
     y: int,
     p: Chain,
     q: Chain,
-    projector: Projector | None = None,
     check_between: bool = True,
 ) -> QuantPair:
     """Quantify [x, y] against a coordinated chain pair (forward
@@ -148,14 +145,13 @@ def quantify_interval_two_chains(
     Both endpoints must lie between the chains, endpoints on P or Q
     included.  Coordination of (p, q) is the caller's precondition.
     """
-    pr = projector or Projector(poset)
     if check_between:
         from .collinearity import SideClass, side_of
 
         for e in (x, y):
             if e in p or e in q:
                 continue
-            if side_of(poset, e, p, q, projector=pr) is not SideClass.BETWEEN:
+            if side_of(pr, e, p, q) is not SideClass.BETWEEN:
                 raise NotBetween(f"event {e} is not between {p.chain_id} and {q.chain_id}")
     px = _require(pr.forward(x, p), f"forward projection of {x}")
     py = _require(pr.forward(y, p), f"forward projection of {y}")

@@ -38,7 +38,7 @@ from .generators import (
     pythagoras_config,
     simplex_config,
 )
-from .poset import Chain, Poset
+from .poset import Chain
 from .projection import Projector
 from .serialize import fraction_to_str
 
@@ -91,13 +91,12 @@ def suite_census(width: int = 8, ticks: int = 60) -> RunReport:
     """Exhaustive projection-code census over a unit lattice."""
     report = RunReport("verify census", {"width": width, "ticks": ticks})
     bundle = lattice_1p1(width, ticks)
-    poset = bundle.poset
     pairs = list(combinations(bundle.chains, 2))
-    result = census(poset, pairs)
+    result = census(Projector(bundle.poset), pairs)
     seen = result.fully_defined_codes()
     report.add(
         "fully-defined-codes-are-legal",
-        {"pairs": len(pairs), "events": len(poset)},
+        {"pairs": len(pairs), "events": len(bundle.poset)},
         ",".join(sorted(seen)),
         result.legal_codes_only,
     )
@@ -145,9 +144,8 @@ def _check_simplex(
         bundle = collinear_config(n)
     else:
         bundle = simplex_config(n)
-    poset = bundle.poset
     try:
-        table = simplex_table(poset, bundle.chains, mode=mode)
+        table = simplex_table(Projector(bundle.poset), bundle.chains, mode=mode)
         cells = []
         for i in range(n):
             for j in range(n):
@@ -177,10 +175,9 @@ def suite_subspaces() -> RunReport:
     for a, b in ((3, 4), (6, 8), (5, 12), (9, 12), (8, 15)):
         config = pythagoras_config(a, b)
         bundle = config.bundle
-        poset = bundle.poset
         t = config.mid_tick
         ok = check_orthogonal_subspaces(
-            poset,
+            Projector(bundle.poset),
             bundle.chain("P"),
             bundle.chain("Q"),
             bundle.chain("R"),
@@ -192,24 +189,22 @@ def suite_subspaces() -> RunReport:
     return report
 
 
-def fence_projection_replay(
-    poset: Poset, chains: list[Chain], projector: Projector
-) -> bool:
+def fence_projection_replay(pr: Projector, chains: list[Chain]) -> bool:
     """Composition law behind the uniqueness argument: projecting one
     chain ahead twice agrees with projecting two ahead, event by event."""
     for p1, p2, p3 in zip(chains, chains[1:], chains[2:]):
         for x in p1.elements:
-            via = projector.forward(x, p2)
-            direct = projector.forward(x, p3)
+            via = pr.forward(x, p2)
+            direct = pr.forward(x, p3)
             if via is None or direct is None:
                 continue
-            composed = projector.forward(via, p3)
+            composed = pr.forward(via, p3)
             if composed != direct:
                 return False
-            bvia = projector.backward(x, p2)
-            bdirect = projector.backward(x, p3)
+            bvia = pr.backward(x, p2)
+            bdirect = pr.backward(x, p3)
             if bvia is not None and bdirect is not None:
-                if projector.backward(bvia, p3) != bdirect:
+                if pr.backward(bvia, p3) != bdirect:
                     return False
     return True
 
@@ -222,9 +217,8 @@ def suite_parallel(trials: int = 1000, seed: int = 0, width: int = 20) -> RunRep
     )
     ticks = 2 * width + 6
     bundle = lattice_1p1(width, ticks)
-    poset = bundle.poset
     chains = list(bundle.chains)
-    pr = Projector(poset)
+    pr = Projector(bundle.poset)
     rng = random.Random(seed)
 
     fences = {}
@@ -232,7 +226,7 @@ def suite_parallel(trials: int = 1000, seed: int = 0, width: int = 20) -> RunRep
     def fence_for(lo: int, hi: int):
         key = (lo, hi)
         if key not in fences:
-            fences[key] = validate_fence(poset, chains[lo : hi + 1], pr)
+            fences[key] = validate_fence(pr, chains[lo : hi + 1])
         return fences[key]
 
     failures = 0
@@ -247,7 +241,7 @@ def suite_parallel(trials: int = 1000, seed: int = 0, width: int = 20) -> RunRep
             continue
         fa, fb = fence_for(lo_a, hi_a), fence_for(lo_b, hi_b)
         checked += 1
-        if not parallel_postulate_check(poset, fa, fb, pr):
+        if not parallel_postulate_check(pr, fa, fb):
             failures += 1
     report.add(
         "shared-chains-agree",
@@ -257,7 +251,7 @@ def suite_parallel(trials: int = 1000, seed: int = 0, width: int = 20) -> RunRep
     )
 
     replay_ok = all(
-        fence_projection_replay(poset, chains[lo : hi + 1], pr)
+        fence_projection_replay(pr, chains[lo : hi + 1])
         for (lo, hi) in sorted(fences)
     )
     report.add(
@@ -275,9 +269,8 @@ def suite_dot(max_scale: int = 20) -> RunReport:
     report = RunReport("verify dot", {"max_scale": max_scale})
     for k in range(1, max_scale + 1):
         config = dotprod_config(k)
-        poset = config.bundle.poset
-        pr = Projector(poset)
-        fence = validate_fence(poset, config.fence_chains, pr)
+        pr = Projector(config.bundle.poset)
+        fence = validate_fence(pr, config.fence_chains)
         t = config.probe_tick
         x = config.probe_event
         y = config.bundle.event("F2", t)
@@ -285,7 +278,7 @@ def suite_dot(max_scale: int = 20) -> RunReport:
         # planar oracle: displacement (3k, -4k) onto the fence axis
         expect = Fraction(3 * k)
         values = [
-            dot_product(poset, x, y, fence, i, j, pr).signed
+            dot_product(pr, x, y, fence, i, j).signed
             for i, j in ((0, 1), (0, 2), (1, 2))
         ]
         report.add(
@@ -298,17 +291,15 @@ def suite_dot(max_scale: int = 20) -> RunReport:
         if k <= 3:
             p_ev = config.bundle.event("F0", t)
             q_ev = config.bundle.event("F2", t)
-            zero = dot_product(poset, p_ev, p_ev, fence, 0, 2, pr).signed
+            zero = dot_product(pr, p_ev, p_ev, fence, 0, 2).signed
             report.add("dot-zero-when-equal", {"scale": k}, zero, zero == 0)
-            perp = dot_product(
-                poset, x, config.bundle.event("F1", t), fence, 0, 2, pr
-            ).signed
+            perp = dot_product(pr, x, config.bundle.event("F1", t), fence, 0, 2).signed
             report.add("dot-zero-when-perpendicular", {"scale": k}, perp, perp == 0)
-            span = dot_product(poset, p_ev, q_ev, fence, 0, 2, pr).signed
+            span = dot_product(pr, p_ev, q_ev, fence, 0, 2).signed
             report.add(
                 "dot-chain-to-chain", {"scale": k}, span, span == Fraction(6 * k)
             )
-            back = dot_product(poset, q_ev, p_ev, fence, 0, 2, pr).signed
+            back = dot_product(pr, q_ev, p_ev, fence, 0, 2).signed
             report.add(
                 "dot-chain-to-chain-reversed",
                 {"scale": k},
@@ -332,9 +323,8 @@ def suite_wedge() -> RunReport:
         rs, cs = Fraction(3 * k), Fraction(4 * k)
         gcfg = grid_config(rows, cols, rs, cs)
         bundle = gcfg.bundle
-        poset = bundle.poset
-        pr = Projector(poset)
-        grid = validate_grid(poset, gcfg.chain_array(), pr)
+        pr = Projector(bundle.poset)
+        grid = validate_grid(pr, gcfg.chain_array())
         report.add(
             "grid-orthogonality",
             {"rows": rows, "cols": cols, "scale": k},
@@ -347,7 +337,7 @@ def suite_wedge() -> RunReport:
             x = bundle.event(f"{row_x},0", mid)
             y = bundle.event(f"{row_y},{cols - 1}", mid)
             i, j = 0, cols - 1
-            w = wedge_product(poset, x, y, grid, row_x, row_y, i, j, pr)
+            w = wedge_product(pr, x, y, grid, row_x, row_y, i, j)
             # cross of the chain-pair vector with the displacement
             vx = (j - i) * rs
             uy = (row_y - row_x) * cs
@@ -370,16 +360,15 @@ def suite_geoproduct() -> RunReport:
         rs, cs = Fraction(3 * k), Fraction(4 * k)
         gcfg = grid_config(rows, cols, rs, cs)
         bundle = gcfg.bundle
-        poset = bundle.poset
-        pr = Projector(poset)
-        grid = validate_grid(poset, gcfg.chain_array(), pr)
+        pr = Projector(bundle.poset)
+        grid = validate_grid(pr, gcfg.chain_array())
         origin = bundle.chain("0,0")
         mid = origin.valuation[origin.elements[len(origin) // 2]]
         x = bundle.event("0,0", mid)
         y = bundle.event(f"{rows - 1},{cols - 1}", mid)
         try:
             lhs, dot, wedge = geometric_identity_check(
-                poset, x, y, grid, 0, rows - 1, 0, cols - 1, pr
+                pr, x, y, grid, 0, rows - 1, 0, cols - 1
             )
             report.add(
                 "geometric-identity",

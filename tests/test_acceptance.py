@@ -55,7 +55,7 @@ def test_criterion_1_collinearity_census():
     assert len(bundle.poset) == 549
     pairs = list(combinations(bundle.chains, 2))
     assert len(pairs) == 36
-    result = census(bundle.poset, pairs)
+    result = census(Projector(bundle.poset), pairs)
     ok = result.fully_defined_codes() <= LEGAL_CODE_STRINGS
     elapsed = time.monotonic() - start
     report(1, "collinearity census", ok and elapsed < 10, elapsed)
@@ -63,8 +63,7 @@ def test_criterion_1_collinearity_census():
 
 def test_criterion_2_case_geography():
     bundle = lattice_1p1(8, 40)
-    poset = bundle.poset
-    pr = Projector(poset)
+    pr = Projector(bundle.poset)
     p, q = bundle.chain("3"), bundle.chain("6")
     ok = True
     for pos in range(9):
@@ -77,11 +76,11 @@ def test_criterion_2_case_geography():
         )
         for e in bundle.chain(str(pos)).elements:
             try:
-                code = projection_code(poset, e, p, q, projector=pr)
+                code = projection_code(pr, e, p, q)
             except MissingProjection:
                 continue
             if code.fully_defined:
-                ok &= side_of(poset, e, p, q, pr) == expected
+                ok &= side_of(pr, e, p, q) == expected
     report(2, "case geography", ok)
 
 
@@ -97,16 +96,19 @@ def test_criterion_3_order_reversal_duality():
         dp, dq = pa.dual(), qa.dual()
         for x in poset.events():
             try:
-                case = classify_collinearity(poset, x, pa, qa, pr)
+                case = classify_collinearity(pr, x, pa, qa)
             except MissingProjection:
                 continue
             if case in proper:
-                ok &= classify_collinearity(dual, x, dp, dq, dual_pr) == case
+                ok &= classify_collinearity(dual_pr, x, dp, dq) == case
     # the improper cases swap under dualization
     cposet, cp, cq, cx = _case_iv_poset()
-    ok &= classify_collinearity(cposet, cx, cp, cq) == CollinearityCase.CASE_IV
     ok &= (
-        classify_collinearity(cposet.dual(), cx, cp.dual(), cq.dual())
+        classify_collinearity(Projector(cposet), cx, cp, cq)
+        == CollinearityCase.CASE_IV
+    )
+    ok &= (
+        classify_collinearity(Projector(cposet.dual()), cx, cp.dual(), cq.dual())
         == CollinearityCase.CASE_V
     )
     report(3, "order-reversal duality", ok)
@@ -116,14 +118,18 @@ def test_criterion_4_simplex_tables():
     ok = True
     for n in (3, 4):
         col = collinear_config(n)
-        table = simplex_table(col.poset, col.chains, mode=SimplexMode.COLLINEAR)
+        table = simplex_table(
+            Projector(col.poset), col.chains, mode=SimplexMode.COLLINEAR
+        )
         for i in range(n):
             for j in range(n):
                 if i != j:
                     d = Fraction(abs(i - j))
                     ok &= table[i][j].components() == (d, -d)
         simp = simplex_config(n)
-        table = simplex_table(simp.poset, simp.chains, mode=SimplexMode.PAIRWISE)
+        table = simplex_table(
+            Projector(simp.poset), simp.chains, mode=SimplexMode.PAIRWISE
+        )
         for i in range(n):
             for j in range(n):
                 if i != j:
@@ -152,9 +158,9 @@ def test_criterion_5_pythagoras():
             ]
             for ca, cb, expected in legs:
                 pair = quantify_interval_two_chains(
-                    bundle.poset, bundle.event(ca, t), bundle.event(cb, t),
+                    pr, bundle.event(ca, t), bundle.event(cb, t),
                     bundle.chain(ca), bundle.chain(cb),
-                    projector=pr, check_between=False,
+                    check_between=False,
                 )
                 ok &= interval_scalar(pair) == expected
     elapsed = time.monotonic() - start
@@ -164,23 +170,19 @@ def test_criterion_5_pythagoras():
 def test_criterion_6_orthogonal_subspaces():
     cfg = pythagoras_config(3, 4)
     b = cfg.bundle
-    poset = b.poset
-    pr = Projector(poset)
+    pr = Projector(b.poset)
     t = cfg.mid_tick
     p_ev, q_ev = b.event("P", t), b.event("Q", t)
     pair_pq = quantify_interval_two_chains(
-        poset, p_ev, q_ev, b.chain("P"), b.chain("Q"),
-        projector=pr, check_between=False,
+        pr, p_ev, q_ev, b.chain("P"), b.chain("Q"), check_between=False
     )
     ok = pair_pq.components() == (6, -6)
     pair_rs = quantify_interval_two_chains(
-        poset, p_ev, q_ev, b.chain("R"), b.chain("S"),
-        projector=pr, check_between=False,
+        pr, p_ev, q_ev, b.chain("R"), b.chain("S"), check_between=False
     )
     ok &= pair_rs.components() == (0, 0)
     ok &= check_orthogonal_subspaces(
-        poset, b.chain("P"), b.chain("Q"), b.chain("R"), b.chain("S"),
-        p_ev, q_ev, pr,
+        pr, b.chain("P"), b.chain("Q"), b.chain("R"), b.chain("S"), p_ev, q_ev
     )
     report(6, "orthogonal subspaces", ok)
 
@@ -202,16 +204,15 @@ def test_criterion_9_geometric_identity():
         for rows, cols in ((3, 3), (3, 4), (4, 3)):
             layouts += 1
             g = grid_config(rows, cols, 3 * k, 4 * k)
-            poset = g.bundle.poset
-            pr = Projector(poset)
-            grid = validate_grid(poset, g.chain_array(), pr)
+            pr = Projector(g.bundle.poset)
+            grid = validate_grid(pr, g.chain_array())
             origin = g.bundle.chain("0,0")
             mid = origin.valuation[origin.elements[len(origin) // 2]]
             x = g.bundle.event("0,0", mid)
             y = g.bundle.event(f"{rows - 1},{cols - 1}", mid)
             i, j = 0, cols - 1
             lhs, dot, wedge = geometric_identity_check(
-                poset, x, y, grid, 0, rows - 1, i, j, pr
+                pr, x, y, grid, 0, rows - 1, i, j
             )
             ok &= lhs == dot * dot + wedge * wedge
             oracle = planar_cross(
@@ -219,7 +220,7 @@ def test_criterion_9_geometric_identity():
                 ((cols - 1) * grid.row_spacing, (rows - 1) * grid.col_spacing),
             )
             ok &= wedge == oracle
-            ok &= wedge_product(poset, x, y, grid, 0, rows - 1, i, j, pr) == oracle
+            ok &= wedge_product(pr, x, y, grid, 0, rows - 1, i, j) == oracle
     report(9, f"geometric identity ({layouts} layouts)", ok and layouts >= 20)
 
 

@@ -28,23 +28,22 @@ from .conftest import reference_code
 
 def test_case_geography(lattice, lattice_projector):
     """Positions <1 / in (1,3) / >3 against chains at 1 and 3."""
-    poset = lattice.poset
     p, q = lattice.chain("1"), lattice.chain("3")
     pr = lattice_projector
     expected = {"0": SideClass.P_SIDE, "2": SideClass.BETWEEN, "4": SideClass.Q_SIDE}
     for pos, side in expected.items():
         for e in lattice.chain(pos).elements:
             try:
-                code = projection_code(poset, e, p, q, projector=pr)
+                code = projection_code(pr, e, p, q)
             except MissingProjection:
                 continue
             if not code.fully_defined:
                 continue
-            assert side_of(poset, e, p, q, pr) == side
+            assert side_of(pr, e, p, q) == side
 
 
 def test_codes_for_three_regions(lattice, lattice_projector):
-    poset = lattice.poset
+    pr = lattice_projector
     p, q = lattice.chain("1"), lattice.chain("3")
     cases = {
         "0": ((2, 2, 0, 1), CollinearityCase.CASE_I),
@@ -53,17 +52,16 @@ def test_codes_for_three_regions(lattice, lattice_projector):
     }
     for pos, (digits, case) in cases.items():
         e = lattice.event(pos, 10)
-        code = projection_code(poset, e, p, q, projector=lattice_projector)
+        code = projection_code(pr, e, p, q)
         assert code.digits == digits
-        assert classify_collinearity(poset, e, p, q, lattice_projector) == case
-        assert is_properly_collinear(poset, e, p, q, lattice_projector)
+        assert classify_collinearity(pr, e, p, q) == case
+        assert is_properly_collinear(pr, e, p, q)
 
 
 def test_on_chain_events_have_undefined_digits(lattice, lattice_projector):
-    poset = lattice.poset
     p, q = lattice.chain("1"), lattice.chain("3")
     e = lattice.event("1", 10)
-    code = projection_code(poset, e, p, q, projector=lattice_projector)
+    code = projection_code(lattice_projector, e, p, q)
     assert not code.fully_defined
     assert "u" in str(code)
 
@@ -71,11 +69,11 @@ def test_on_chain_events_have_undefined_digits(lattice, lattice_projector):
 def test_identical_chains_rejected(lattice, lattice_projector):
     p = lattice.chain("1")
     with pytest.raises(ValueError):
-        projection_code(lattice.poset, lattice.event("0", 5), p, p)
+        projection_code(lattice_projector, lattice.event("0", 5), p, p)
 
 
 def test_census_is_supported_on_legal_codes(lattice):
-    result = census(lattice.poset, combinations(lattice.chains, 2))
+    result = census(Projector(lattice.poset), combinations(lattice.chains, 2))
     assert result.legal_codes_only
     assert result.fully_defined_codes() <= LEGAL_CODE_STRINGS
     assert {"2201", "1010", "0122"} <= result.fully_defined_codes()
@@ -84,32 +82,28 @@ def test_census_is_supported_on_legal_codes(lattice):
 
 def test_chain_order(lattice, lattice_projector):
     p, q, x = lattice.chain("1"), lattice.chain("3"), lattice.chain("4")
-    ordered = chain_order(lattice.poset, x, p, q, lattice_projector)
+    ordered = chain_order(lattice_projector, x, p, q)
     assert [c.chain_id for c in ordered] == ["1", "3", "4"]
     mid = lattice.chain("2")
-    ordered = chain_order(lattice.poset, mid, p, q, lattice_projector)
+    ordered = chain_order(lattice_projector, mid, p, q)
     assert [c.chain_id for c in ordered] == ["1", "2", "3"]
 
 
 def test_in_subspace(lattice, lattice_projector):
-    poset = lattice.poset
+    pr = lattice_projector
     p, q = lattice.chain("1"), lattice.chain("3")
-    assert in_subspace(poset, lattice.event("1", 10), p, q, lattice_projector)
-    assert in_subspace(poset, lattice.event("0", 10), p, q, lattice_projector)
+    assert in_subspace(pr, lattice.event("1", 10), p, q)
+    assert in_subspace(pr, lattice.event("0", 10), p, q)
     # boundary event with a missing projection is excluded, not an error
-    assert not in_subspace(poset, lattice.event("4", 19), p, q, lattice_projector)
+    assert not in_subspace(pr, lattice.event("4", 19), p, q)
 
 
 def test_chains_properly_collinear_window(lattice, lattice_projector):
-    poset = lattice.poset
     mid, p, q = lattice.chain("2"), lattice.chain("1"), lattice.chain("3")
     window = [lattice.event("2", t) for t in range(3, 18)]
-    assert chains_properly_collinear(
-        poset, mid, p, q, projector=lattice_projector, events=window
-    )
+    assert chains_properly_collinear(lattice_projector, mid, p, q, events=window)
     # full chain includes boundary events whose projections run off
-    assert not chains_properly_collinear(poset, mid, p, q,
-                                         projector=lattice_projector)
+    assert not chains_properly_collinear(lattice_projector, mid, p, q)
 
 
 def _case_iv_poset():
@@ -137,16 +131,17 @@ def _case_iv_poset():
 
 def test_case_iv_realized_and_dual_is_case_v():
     poset, p, q, x = _case_iv_poset()
-    code = projection_code(poset, x, p, q)
+    pr = Projector(poset)
+    code = projection_code(pr, x, p, q)
     assert code.digits == (0, 2, 2, 1)
-    assert classify_collinearity(poset, x, p, q) == CollinearityCase.CASE_IV
-    assert not is_properly_collinear(poset, x, p, q)
+    assert classify_collinearity(pr, x, p, q) == CollinearityCase.CASE_IV
+    assert not is_properly_collinear(pr, x, p, q)
 
-    dual = poset.dual()
+    dual_pr = Projector(poset.dual())
     dp, dq = p.dual(), q.dual()
-    dcode = projection_code(dual, x, dp, dq)
+    dcode = projection_code(dual_pr, x, dp, dq)
     assert dcode.digits == (2, 1, 0, 2)
-    assert classify_collinearity(dual, x, dp, dq) == CollinearityCase.CASE_V
+    assert classify_collinearity(dual_pr, x, dp, dq) == CollinearityCase.CASE_V
 
 
 def test_duality_preserves_proper_cases():
@@ -159,7 +154,7 @@ def test_duality_preserves_proper_cases():
         pr = Projector(poset)
         for x in poset.events():
             try:
-                case = classify_collinearity(poset, x, pa, qa, pr)
+                case = classify_collinearity(pr, x, pa, qa)
             except MissingProjection:
                 continue
             if case in (
@@ -167,15 +162,15 @@ def test_duality_preserves_proper_cases():
                 CollinearityCase.CASE_II,
                 CollinearityCase.CASE_III,
             ):
-                assert classify_collinearity(dual, x, dp, dq, dual_pr) == case
+                assert classify_collinearity(dual_pr, x, dp, dq) == case
 
 
 def test_inconsistent_sides_raises():
     bundle = lattice_1p1(4, 16)
-    poset = bundle.poset
+    pr = Projector(bundle.poset)
     # the middle chain of the window classifies its own neighbours
     with pytest.raises(InconsistentSides):
-        chain_order(poset, bundle.chain("2"), bundle.chain("2"), bundle.chain("3"))
+        chain_order(pr, bundle.chain("2"), bundle.chain("2"), bundle.chain("3"))
 
 
 def _codes_match_reference(poset, chains) -> Counter:
@@ -187,7 +182,7 @@ def _codes_match_reference(poset, chains) -> Counter:
     for p, q in permutations(chains, 2):
         for x in poset.events():
             try:
-                code = str(projection_code(poset, x, p, q, projector=pr))
+                code = str(projection_code(pr, x, p, q))
             except MissingProjection:
                 code = None
             assert code == reference_code(poset, x, p, q), (x, p.chain_id, q.chain_id)

@@ -4,6 +4,7 @@ import pytest
 
 from posetgeo import (
     MetricConfig,
+    Projector,
     QuantPair,
     SimplexMode,
     WorldlineSpec,
@@ -27,10 +28,9 @@ from posetgeo.errors import (
 
 
 def test_lattice_chains_coordinated(lattice, lattice_projector):
-    poset = lattice.poset
     for a in lattice.chains:
         for b in lattice.chains:
-            assert are_coordinated(poset, a, b, projector=lattice_projector)
+            assert are_coordinated(lattice_projector, a, b)
 
 
 def test_mismatched_tick_spacing_not_coordinated():
@@ -42,19 +42,20 @@ def test_mismatched_tick_spacing_not_coordinated():
     bundle = build_metric_poset(
         config, [WorldlineSpec("A", fast), WorldlineSpec("B", slow)]
     )
-    assert not are_coordinated(bundle.poset, bundle.chain("A"), bundle.chain("B"))
+    pr = Projector(bundle.poset)
+    assert not are_coordinated(pr, bundle.chain("A"), bundle.chain("B"))
 
 
 def test_explicit_windows():
     bundle = lattice_1p1(2, 12)
-    poset = bundle.poset
+    pr = Projector(bundle.poset)
     a, b = bundle.chain("0"), bundle.chain("2")
     wa = (bundle.event("0", 2), bundle.event("0", 8))
     wb = (bundle.event("2", 4), bundle.event("2", 10))
-    assert are_coordinated(poset, a, b, p_interval=wa, q_interval=wb)
+    assert are_coordinated(pr, a, b, p_interval=wa, q_interval=wb)
     # shifted target window breaks the bijection
     wb_bad = (bundle.event("2", 3), bundle.event("2", 10))
-    assert not are_coordinated(poset, a, b, p_interval=wa, q_interval=wb_bad)
+    assert not are_coordinated(pr, a, b, p_interval=wa, q_interval=wb_bad)
 
 
 def test_orthogonal_subspaces_true_case():
@@ -62,7 +63,7 @@ def test_orthogonal_subspaces_true_case():
     b = cfg.bundle
     t = cfg.mid_tick
     assert check_orthogonal_subspaces(
-        b.poset, b.chain("P"), b.chain("Q"), b.chain("R"), b.chain("S"),
+        Projector(b.poset), b.chain("P"), b.chain("Q"), b.chain("R"), b.chain("S"),
         b.event("P", t), b.event("Q", t),
     )
 
@@ -77,7 +78,7 @@ def test_orthogonal_subspaces_false_when_not_perpendicular():
     t = Fraction(60)
     chains = {c.chain_id: c for c in b.chains}
     assert not check_orthogonal_subspaces(
-        b.poset, chains["P"], chains["Q"], chains["R"], chains["S"],
+        Projector(b.poset), chains["P"], chains["Q"], chains["R"], chains["S"],
         b.event("P", t), b.event("Q", t),
     )
 
@@ -105,7 +106,7 @@ def test_pythagoras_misaligned_hypotenuse():
 def test_simplex_collinear_tables():
     for n in (3, 4):
         bundle = collinear_config(n)
-        table = simplex_table(bundle.poset, bundle.chains,
+        table = simplex_table(Projector(bundle.poset), bundle.chains,
                               mode=SimplexMode.COLLINEAR)
         for i in range(n):
             for j in range(n):
@@ -117,7 +118,7 @@ def test_simplex_collinear_tables():
 def test_simplex_pairwise_tables():
     for n in (3, 4):
         bundle = simplex_config(n)
-        table = simplex_table(bundle.poset, bundle.chains,
+        table = simplex_table(Projector(bundle.poset), bundle.chains,
                               mode=SimplexMode.PAIRWISE)
         for i in range(n):
             for j in range(n):
@@ -128,13 +129,14 @@ def test_simplex_pairwise_tables():
 def test_simplex_mode_mismatch_raises():
     bundle = collinear_config(3)
     with pytest.raises(MixedConfiguration):
-        simplex_table(bundle.poset, bundle.chains, mode=SimplexMode.PAIRWISE)
+        simplex_table(Projector(bundle.poset), bundle.chains, mode=SimplexMode.PAIRWISE)
 
 
 def test_dimension_count():
     col = collinear_config(4)
-    assert dimension_count(col.poset, col.chains, False) == (1, 1)
+    assert dimension_count(Projector(col.poset), col.chains, False) == (1, 1)
     simp = simplex_config(4)
-    assert dimension_count(simp.poset, simp.chains, True) == (3, 1)
+    simp_pr = Projector(simp.poset)
+    assert dimension_count(simp_pr, simp.chains, True) == (3, 1)
     with pytest.raises(MixedConfiguration):
-        dimension_count(simp.poset, simp.chains, False)
+        dimension_count(simp_pr, simp.chains, False)

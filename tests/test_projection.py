@@ -62,6 +62,22 @@ def test_projections_match_scan_oracle_on_dual_grid():
     )
 
 
+def test_chains_sharing_an_id_keep_separate_answers(lattice):
+    # a window of chain '0' under the same id, on one projector that has
+    # already answered for the full chain
+    full = lattice.chain("0")
+    ticks_10_20 = full.elements[10:21]
+    window = Chain("0", ticks_10_20, {e: full.value(e) for e in ticks_10_20})
+    poset = lattice.poset
+    pr = Projector(poset)
+    for chain in (full, window):
+        for x in poset.events():
+            assert pr.forward(x, chain) == scan_forward(poset, x, chain)
+            assert pr.backward(x, chain) == scan_backward(poset, x, chain)
+    x = lattice.event("3", 14)
+    assert (pr.forward(x, window), pr.backward(x, window)) == (17, 11)
+
+
 def test_projection_idempotent_and_monotone(lattice, lattice_projector):
     poset = lattice.poset
     pr = lattice_projector
@@ -91,7 +107,7 @@ def test_quantify_event_values(lattice, lattice_projector):
     # event at tick 5, position 3 against the chain at position 0:
     # forward lands at tick 8, backward at tick 2
     x = lattice.event("3", 5)
-    pair = quantify_event(lattice.poset, x, lattice.chain("0"), lattice_projector)
+    pair = quantify_event(lattice_projector, x, lattice.chain("0"))
     assert pair.components() == (Fraction(8), Fraction(2))
     assert classify_interval(pair) == IntervalClass.CHAIN_LIKE
     assert interval_scalar(pair) == 16
@@ -100,16 +116,15 @@ def test_quantify_event_values(lattice, lattice_projector):
 def test_quantify_event_unquantifiable_at_boundary(lattice, lattice_projector):
     x = lattice.event("4", 18)  # forward projection runs off the chain
     with pytest.raises(Unquantifiable):
-        quantify_event(lattice.poset, x, lattice.chain("0"), lattice_projector)
+        quantify_event(lattice_projector, x, lattice.chain("0"))
 
 
 def test_one_chain_interval_same_side(lattice, lattice_projector):
-    poset = lattice.poset
     chain = lattice.chain("0")
     x = lattice.event("2", 5)
     y = lattice.event("2", 9)
     pair = quantify_interval_one_chain(
-        poset, x, y, chain, Side.SAME_SIDE, lattice_projector
+        lattice_projector, x, y, chain, Side.SAME_SIDE
     )
     assert pair.components() == (Fraction(4), Fraction(4))
     assert classify_interval(pair) == IntervalClass.PURELY_CHAIN_LIKE
@@ -117,12 +132,11 @@ def test_one_chain_interval_same_side(lattice, lattice_projector):
 
 def test_one_chain_interval_straddling(lattice, lattice_projector):
     # x and y at the same tick on opposite sides of the chain at 2
-    poset = lattice.poset
     chain = lattice.chain("2")
     x = lattice.event("0", 10)
     y = lattice.event("4", 10)
     pair = quantify_interval_one_chain(
-        poset, x, y, chain, Side.STRADDLING, lattice_projector
+        lattice_projector, x, y, chain, Side.STRADDLING
     )
     # p_y - p-bar_x = 12 - 8 = 4; p-bar_y - p_x = 8 - 12 = -4
     assert pair.components() == (Fraction(4), Fraction(-4))
@@ -131,32 +145,29 @@ def test_one_chain_interval_straddling(lattice, lattice_projector):
 
 
 def test_two_chain_interval_between(lattice, lattice_projector):
-    poset = lattice.poset
     p, q = lattice.chain("0"), lattice.chain("4")
     x = lattice.event("1", 10)
     y = lattice.event("3", 10)
-    pair = quantify_interval_two_chains(poset, x, y, p, q, lattice_projector)
+    pair = quantify_interval_two_chains(lattice_projector, x, y, p, q)
     assert pair.components() == (Fraction(2), Fraction(-2))
     assert pair.basis == ("0", "4")
 
 
 def test_two_chain_interval_rejects_outside_events(lattice, lattice_projector):
-    poset = lattice.poset
     p, q = lattice.chain("1"), lattice.chain("3")
     x = lattice.event("0", 10)  # on the far side of p
     y = lattice.event("2", 10)
     with pytest.raises(NotBetween):
-        quantify_interval_two_chains(poset, x, y, p, q, lattice_projector)
+        quantify_interval_two_chains(lattice_projector, x, y, p, q)
 
 
 def test_two_chain_interval_endpoint_on_chain_counts_as_between(
     lattice, lattice_projector
 ):
-    poset = lattice.poset
     p, q = lattice.chain("0"), lattice.chain("4")
     x = lattice.event("0", 10)
     y = lattice.event("3", 10)
-    pair = quantify_interval_two_chains(poset, x, y, p, q, lattice_projector)
+    pair = quantify_interval_two_chains(lattice_projector, x, y, p, q)
     assert pair.components() == (Fraction(3), Fraction(-3))
 
 
