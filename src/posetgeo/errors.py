@@ -18,11 +18,8 @@ class UnknownChain(PosetGeoError):
 
 
 class CycleViolation(PosetGeoError):
-    """Adding the relation would break antisymmetry."""
-
-
-class FrozenPosetError(PosetGeoError):
-    """Mutation attempted on a frozen poset."""
+    """The generating relations contain a cycle, so their closure would
+    not be antisymmetric."""
 
 
 class Unquantifiable(PosetGeoError):

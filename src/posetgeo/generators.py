@@ -209,7 +209,7 @@ def build_metric_poset(
                 if j1 >= 0:
                     down[row] |= full_mask[wj] & ((1 << (off_j + j1 + 1)) - 1)
 
-    poset = Poset._from_masks(range(total), up, down, frozen=True)
+    poset = Poset._from_masks(range(total), up, down)
 
     chains = []
     event_index: dict[tuple[str, Fraction], int] = {}
@@ -399,11 +399,10 @@ def random_dag(n_events: int, edge_probability: float, seed: int) -> Poset:
     rng = random.Random(seed)
     layer_count = max(1, math.isqrt(max(n_events, 1)))
     layers = [rng.randrange(layer_count) for _ in range(n_events)]
-    poset = Poset()
-    for e in range(n_events):
-        poset.add_event(e)
-    for a in range(n_events):
-        for b in range(n_events):
-            if layers[a] < layers[b] and rng.random() < edge_probability:
-                poset.add_influence(a, b)
-    return poset.freeze()
+    pairs = [
+        (a, b)
+        for a in range(n_events)
+        for b in range(n_events)
+        if layers[a] < layers[b] and rng.random() < edge_probability
+    ]
+    return Poset(range(n_events), pairs)

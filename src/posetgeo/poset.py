@@ -1,129 +1,85 @@
 """Finite posets of events with exact order queries.
 
 The order relation is kept as per-event reachability bitmasks (arbitrary
-precision ints), so ``leq`` is a single bit test and the transitive
-reduction falls out of cheap mask intersections.
+precision ints), so ``leq`` is a single bit test.  A poset is built once,
+from its events and any generating pairs, and never changes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
-from .errors import (
-    CycleViolation,
-    DuplicateEvent,
-    FrozenPosetError,
-    UnknownEvent,
-)
-
-
-def _bits(mask: int) -> Iterator[int]:
-    """Yield the set bit positions of mask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+from .errors import CycleViolation, DuplicateEvent, UnknownEvent
 
 
 class Poset:
-    """A finite partially ordered set of integer event identifiers.
+    """An immutable finite partially ordered set of integer event
+    identifiers.
 
-    ``_up[i]`` is the bitmask of events reachable from event row ``i``
-    (including ``i`` itself: the relation is reflexive), ``_down[i]`` the
-    dual ancestor mask.  Both masks are maintained incrementally by
-    ``add_influence``; antisymmetry is enforced on every insertion.
+    ``Poset(events, relations)`` orders the events by the reflexive and
+    transitive closure of the pairs ``(a, b)``, each meaning a <= b; a
+    pair need not be a cover.  Row ``i`` belongs to ``events[i]``:
+    ``_up[i]`` is the bitmask of the rows reachable from it (itself
+    included) and ``_down[i]`` the dual ancestor mask.
     """
 
-    def __init__(self) -> None:
-        self._index: dict[int, int] = {}
-        self._ids: list[int] = []
-        self._up: list[int] = []
-        self._down: list[int] = []
-        self._frozen = False
-        self._covers_cache: list[tuple[int, int]] | None = None
+    def __init__(
+        self, events: Iterable[int], relations: Iterable[tuple[int, int]] = ()
+    ) -> None:
+        ids = list(events)
+        index = {e: i for i, e in enumerate(ids)}
+        n = len(ids)
+        if len(index) != n:
+            raise DuplicateEvent("duplicate event ids")
+        succ: list[list[int]] = [[] for _ in range(n)]
+        pred: list[list[int]] = [[] for _ in range(n)]
+        indeg = [0] * n
+        for a, b in relations:
+            if a not in index or b not in index:
+                raise UnknownEvent(f"relation ({a}, {b}) names an unknown event")
+            ia, ib = index[a], index[b]
+            succ[ia].append(ib)
+            pred[ib].append(ia)
+            indeg[ib] += 1
 
-    # -- construction -------------------------------------------------
+        # Kahn: a self-pair or a cycle leaves its rows with in-degree > 0
+        order: list[int] = []
+        stack = [i for i in range(n) if indeg[i] == 0]
+        while stack:
+            i = stack.pop()
+            order.append(i)
+            for j in succ[i]:
+                indeg[j] -= 1
+                if indeg[j] == 0:
+                    stack.append(j)
+        if len(order) != n:
+            raise CycleViolation("the relations contain a cycle")
 
-    def add_event(self, event: int) -> "Poset":
-        if self._frozen:
-            raise FrozenPosetError("poset is frozen")
-        if event in self._index:
-            raise DuplicateEvent(f"event {event} already present")
-        row = len(self._ids)
-        self._index[event] = row
-        self._ids.append(event)
-        bit = 1 << row
-        self._up.append(bit)
-        self._down.append(bit)
-        return self
-
-    def add_influence(self, a: int, b: int) -> "Poset":
-        """Record a <= b and close transitively.  Idempotent."""
-        if self._frozen:
-            raise FrozenPosetError("poset is frozen")
-        ia, ib = self._row(a), self._row(b)
-        if ia == ib:
-            return self
-        if self._up[ib] >> ia & 1:
-            raise CycleViolation(f"adding {a}<={b} would create a cycle")
-        if self._up[ia] >> ib & 1:
-            return self
-        up_b = self._up[ib]
-        down_a = self._down[ia]
-        for x in _bits(down_a):
-            self._up[x] |= up_b
-        for y in _bits(up_b):
-            self._down[y] |= down_a
-        return self
-
-    def freeze(self) -> "Poset":
-        self._frozen = True
-        return self
-
-    @property
-    def frozen(self) -> bool:
-        return self._frozen
+        up = [1 << i for i in range(n)]
+        for i in reversed(order):
+            for j in succ[i]:
+                up[i] |= up[j]
+        down = [1 << i for i in range(n)]
+        for i in order:
+            for j in pred[i]:
+                down[i] |= down[j]
+        self._assign(ids, up, down)
 
     @classmethod
-    def _from_masks(
-        cls, ids: Sequence[int], up: list[int], down: list[int], frozen: bool
-    ) -> "Poset":
+    def _from_masks(cls, ids: Sequence[int], up: list[int], down: list[int]) -> "Poset":
         """Bulk constructor from closed, mutually transposed up/down masks
-        whose row i belongs to ids[i].  Checks nothing: the callers
-        either check the masks or build them closed by construction."""
+        whose row i belongs to ids[i].  Checks nothing: the callers build
+        the masks closed."""
         poset = cls.__new__(cls)
-        poset._ids = list(ids)
-        poset._index = {e: i for i, e in enumerate(poset._ids)}
-        poset._up = up
-        poset._down = down
-        poset._frozen = frozen
-        poset._covers_cache = None
+        poset._assign(ids, up, down)
         return poset
 
-    @classmethod
-    def from_closure(
-        cls, ids: Sequence[int], up_masks: Sequence[int]
-    ) -> "Poset":
-        """Bulk constructor from precomputed reachability masks.
-
-        The caller guarantees the masks are reflexive and transitively
-        closed; antisymmetry is checked.
-        """
-        n = len(ids)
-        if len(set(ids)) != n:
-            raise DuplicateEvent("duplicate event ids")
-        up = list(up_masks)
-        down = [1 << i for i in range(n)]
-        for i, mask in enumerate(up):
-            if not mask >> i & 1:
-                raise ValueError("closure mask not reflexive")
-            for j in _bits(mask):
-                if j != i:
-                    if up[j] >> i & 1:
-                        raise CycleViolation("closure mask not antisymmetric")
-                    down[j] |= 1 << i
-        return cls._from_masks(ids, up, down, frozen=False)
+    def _assign(self, ids: Sequence[int], up: list[int], down: list[int]) -> None:
+        self._ids = list(ids)
+        self._index = {e: i for i, e in enumerate(self._ids)}
+        self._up = up
+        self._down = down
 
     # -- queries -------------------------------------------------------
 
@@ -151,50 +107,37 @@ class Poset:
     def leq(self, a: int, b: int) -> bool:
         return bool(self._up[self._row(a)] >> self._row(b) & 1)
 
-    def lt(self, a: int, b: int) -> bool:
-        return a != b and self.leq(a, b)
-
-    def comparable(self, a: int, b: int) -> bool:
-        return self.leq(a, b) or self.leq(b, a)
-
-    def covers(self, a: int, b: int) -> bool:
-        """True iff a < b with no event strictly between."""
-        ia, ib = self._row(a), self._row(b)
-        if ia == ib or not self._up[ia] >> ib & 1:
-            return False
-        return (self._up[ia] & self._down[ib]).bit_count() == 2
-
     def cover_pairs(self) -> list[tuple[int, int]]:
-        """The transitive reduction, as (lower, upper) event pairs; cached
-        once the poset is frozen."""
-        if self._covers_cache is None:
-            pairs = []
-            for ia, a in enumerate(self._ids):
-                strict = self._up[ia] & ~(1 << ia)
-                for ib in _bits(strict):
-                    if (self._up[ia] & self._down[ib]).bit_count() == 2:
-                        pairs.append((a, self._ids[ib]))
-            if not self._frozen:
-                return pairs
-            self._covers_cache = pairs
-        return list(self._covers_cache)
+        """The transitive reduction, as (lower, upper) event pairs ordered
+        by the row of the lower event, then of the upper one.
 
-    def is_chain(self, events: Iterable[int]) -> bool:
-        rows = (self._row(e) for e in events)
-        order = sorted(rows, key=lambda r: self._up[r].bit_count(), reverse=True)
-        for x, y in zip(order, order[1:]):
-            if not self._up[x] >> y & 1:
-                return False
-        return True
+        A bitset form of the Aho-Garey-Ullman reduction: a minimal element
+        of what is left of a row's strict up-set is a cover; clearing that
+        cover's up-set leaves the remaining covers minimal in turn.
+        """
+        ids, up, down = self._ids, self._up, self._down
+        pairs = []
+        for i, a in enumerate(ids):
+            rest = up[i] ^ (1 << i)
+            covers = []
+            while rest:
+                j = (rest & -rest).bit_length() - 1
+                below = (down[j] & rest) ^ (1 << j)
+                while below:
+                    j = (below & -below).bit_length() - 1
+                    below = (down[j] & rest) ^ (1 << j)
+                covers.append(j)
+                rest &= ~up[j]
+            covers.sort()
+            pairs.extend((a, ids[j]) for j in covers)
+        return pairs
 
     def events(self) -> list[int]:
         return list(self._ids)
 
     def dual(self) -> "Poset":
         """The order-reversed poset (same events, relation flipped)."""
-        return Poset._from_masks(
-            self._ids, list(self._down), list(self._up), self._frozen
-        )
+        return Poset._from_masks(self._ids, list(self._down), list(self._up))
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -232,6 +175,9 @@ class Chain:
         valuations: Sequence[Fraction | int],
     ) -> "Chain":
         """Validated constructor: elements must be totally ordered in poset."""
+        for e in elements:
+            if e not in poset:
+                raise UnknownEvent(f"chain {chain_id}: unknown event {e}")
         for a, b in zip(elements, elements[1:]):
             if not poset.leq(a, b):
                 raise ValueError(

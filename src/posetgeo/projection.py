@@ -54,7 +54,7 @@ class QuantPair:
 
 
 class Projector:
-    """Projection engine over a frozen poset, with memoisation.
+    """Projection engine over an immutable poset, with memoisation.
 
     Memo entries and masks are keyed by the Chain object itself, not by
     its id, so two chains that share an id never share answers.

@@ -36,45 +36,47 @@ def poset_to_doc(poset: Poset, chains: Sequence[Chain] = ()) -> dict:
     return doc
 
 
+def _int_list(value, what: str) -> list[int]:
+    if not isinstance(value, list) or not all(isinstance(e, int) for e in value):
+        raise ValueError(f"{what} must be a list of integers")
+    return value
+
+
+def _fraction(value, chain_id: str) -> Fraction:
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise ValueError(f"chain {chain_id!r}: bad valuation {value!r}") from None
+
+
 def poset_from_doc(doc: dict) -> tuple[Poset, dict[str, Chain]]:
-    events = doc["events"]
-    covers = [tuple(pair) for pair in doc.get("covers", [])]
-    index = {e: i for i, e in enumerate(events)}
-    n = len(events)
-    if len(index) != n:
-        raise ValueError("duplicate event ids in document")
+    """The poset and chains of a document.  A document of the wrong shape
+    raises ValueError; cyclic covers raise CycleViolation, and covers or
+    chains naming an absent event raise UnknownEvent."""
+    if not isinstance(doc, dict):
+        raise ValueError("document must be a JSON object")
+    events = _int_list(doc.get("events"), "events")
+    covers = doc.get("covers", [])
+    if not isinstance(covers, list) or any(
+        len(_int_list(pair, "each cover")) != 2 for pair in covers
+    ):
+        raise ValueError("covers must be a list of [lower, upper] pairs")
+    specs = doc.get("chains", [])
+    if not isinstance(specs, list) or not all(
+        isinstance(spec, dict) and isinstance(spec.get("id"), str) for spec in specs
+    ):
+        raise ValueError("chains must be a list of objects with a string id")
 
-    succ = [[] for _ in range(n)]
-    indeg = [0] * n
-    for a, b in covers:
-        if a not in index or b not in index:
-            raise ValueError(f"cover ({a}, {b}) references an unknown event")
-        succ[index[a]].append(index[b])
-        indeg[index[b]] += 1
-
-    # bulk transitive closure in topological order, one bitmask per event
-    up = [1 << i for i in range(n)]
-    order: list[int] = []
-    stack = [i for i in range(n) if indeg[i] == 0]
-    while stack:
-        i = stack.pop()
-        order.append(i)
-        for j in succ[i]:
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                stack.append(j)
-    if len(order) != n:
-        raise ValueError("cover relation contains a cycle")
-    for i in reversed(order):
-        for j in succ[i]:
-            up[i] |= up[j]
-
-    poset = Poset.from_closure(events, up)
+    poset = Poset(events, covers)
     chains: dict[str, Chain] = {}
-    for spec in doc.get("chains", []):
-        valuations = [Fraction(s) for s in spec["valuations"]]
-        chain = Chain.build(poset, spec["id"], spec["events"], valuations)
-        chains[chain.chain_id] = chain
+    for spec in specs:
+        chain_id = spec["id"]
+        elements = _int_list(spec.get("events"), f"chain {chain_id!r} events")
+        valuations = spec.get("valuations")
+        if not isinstance(valuations, list) or len(valuations) != len(elements):
+            raise ValueError(f"chain {chain_id!r} needs one valuation per event")
+        values = [_fraction(v, chain_id) for v in valuations]
+        chains[chain_id] = Chain.build(poset, chain_id, elements, values)
     return poset, chains
 
 

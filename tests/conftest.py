@@ -1,8 +1,8 @@
 """Shared fixtures and independent oracles.
 
 The oracles deliberately avoid the library's fast paths: projections by
-linear scan, closure by matrix Warshall, planar products from embedded
-coordinates.
+linear scan, closure and transitive reduction by matrix Warshall, planar
+products from embedded coordinates.
 """
 
 from __future__ import annotations
@@ -75,6 +75,15 @@ def warshall_closure(n: int, edges: list[tuple[int, int]]) -> np.ndarray:
     for k in range(n):
         m |= np.outer(m[:, k], m[k, :])
     return m
+
+
+def warshall_reduction(n: int, edges: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Transitive reduction of the Warshall closure: the pairs a < b with
+    nothing strictly between, ordered by a, then b."""
+    strict = warshall_closure(n, edges) & ~np.eye(n, dtype=bool)
+    counts = strict.astype(np.int64)
+    between = counts @ counts > 0
+    return [(int(a), int(b)) for a, b in np.argwhere(strict & ~between)]
 
 
 def planar_dot(u: tuple[Fraction, Fraction], v: tuple[Fraction, Fraction]) -> Fraction:

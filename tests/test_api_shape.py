@@ -1,10 +1,10 @@
 """The Projector is the one context of the geometry functions: none takes
 a poset next to a projector, and each measuring function takes ``pr``
-first."""
+first.  A Poset is built only by its constructor and never changes."""
 
 import inspect
 
-from posetgeo import collinearity, coordination, fence, projection
+from posetgeo import collinearity, coordination, errors, fence, projection
 from posetgeo.poset import Poset
 from posetgeo.projection import Projector
 
@@ -81,3 +81,9 @@ def test_measuring_functions_take_pr_first():
             ):
                 offenders.append(f"{module.__name__}.{name}")
     assert offenders == []
+
+
+def test_poset_has_one_constructor_and_no_mutators():
+    gone = ("add_event", "add_influence", "freeze", "from_closure")
+    assert [name for name in gone if hasattr(Poset, name)] == []
+    assert not hasattr(errors, "FrozenPosetError")

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from posetgeo.cli import main
 
 
@@ -63,6 +65,22 @@ def test_classify_identical_chains(tmp_path, capsys):
 def test_classify_missing_file(capsys):
     code, _, _ = run(["classify", "/nonexistent.json", "0", "1"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("command", [["classify", "0", "1"], ["export"]],
+                         ids=["classify", "export"])
+@pytest.mark.parametrize("doc", [
+    {},
+    [1, 2],
+    {"events": [0, 1, 2], "covers": [[0, 1], [1, 2]],
+     "chains": [{"id": "0", "events": [0, 1, 2], "valuations": ["0", "1"]}]},
+], ids=["empty-object", "list", "short-valuations"])
+def test_malformed_document_exits_2(tmp_path, capsys, command, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run([command[0], str(path), *command[1:]], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_export_round_trip(tmp_path, capsys):

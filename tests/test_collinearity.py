@@ -112,18 +112,13 @@ def _case_iv_poset():
     elements while each digit identity holds exactly once."""
     names = ["p1", "p15", "p2", "q1", "q15", "q2", "x"]
     idx = {n: i for i, n in enumerate(names)}
-    poset = Poset()
-    for i in range(len(names)):
-        poset.add_event(i)
     rels = [
         ("p1", "p15"), ("p15", "p2"),
         ("q1", "q15"), ("q15", "q2"),
         ("q1", "p1"), ("p1", "q15"), ("p15", "q2"), ("q2", "p2"),
         ("p1", "x"), ("x", "q2"),
     ]
-    for a, b in rels:
-        poset.add_influence(idx[a], idx[b])
-    poset.freeze()
+    poset = Poset(range(len(names)), [(idx[a], idx[b]) for a, b in rels])
     p = Chain.build(poset, "P", [idx["p1"], idx["p15"], idx["p2"]], [0, 1, 2])
     q = Chain.build(poset, "Q", [idx["q1"], idx["q15"], idx["q2"]], [0, 1, 2])
     return poset, p, q, idx["x"]

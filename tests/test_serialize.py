@@ -2,16 +2,21 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posetgeo import (
     Poset,
+    PosetGeoError,
     dump_json,
     lattice_1p1,
     load_json,
     poset_from_doc,
     poset_to_doc,
+    random_dag,
     to_dot,
 )
+from posetgeo.errors import CycleViolation, UnknownEvent
 from posetgeo.poset import Chain
 
 
@@ -36,12 +41,26 @@ def test_round_trip_preserves_closure_and_valuations():
         assert c2.valuation == c.valuation
 
 
+def _lattice():
+    bundle = lattice_1p1(3, 8)
+    return bundle.poset, bundle.chains
+
+
+@pytest.mark.parametrize("make", [_lattice, lambda: (random_dag(60, 0.1, 5), [])],
+                         ids=["lattice", "random-dag"])
+def test_dump_load_dump_is_byte_identical(make):
+    def dumps(poset, chains):
+        buf = io.StringIO()
+        dump_json(poset, chains, buf)
+        return buf.getvalue()
+
+    poset, chains = make()
+    poset2, chains2 = round_trip(poset, chains)
+    assert dumps(poset2, list(chains2.values())) == dumps(poset, chains)
+
+
 def test_rationals_serialized_exactly():
-    poset = Poset()
-    for e in (0, 1):
-        poset.add_event(e)
-    poset.add_influence(0, 1)
-    poset.freeze()
+    poset = Poset([0, 1], [(0, 1)])
     from fractions import Fraction
 
     chain = Chain.build(poset, "c", [0, 1], [Fraction(-1, 3), Fraction(7, 2)])
@@ -53,12 +72,7 @@ def test_rationals_serialized_exactly():
 
 
 def test_doc_stores_covers_only():
-    poset = Poset()
-    for e in range(3):
-        poset.add_event(e)
-    poset.add_influence(0, 1)
-    poset.add_influence(1, 2)
-    poset.freeze()
+    poset = Poset(range(3), [(0, 1), (1, 2), (0, 2)])
     doc = poset_to_doc(poset)
     assert sorted(map(tuple, doc["covers"])) == [(0, 1), (1, 2)]
     poset2, _ = poset_from_doc(doc)
@@ -67,23 +81,21 @@ def test_doc_stores_covers_only():
 
 def test_cycle_in_doc_rejected():
     doc = {"events": [0, 1], "covers": [[0, 1], [1, 0]], "chains": []}
-    with pytest.raises(ValueError):
+    with pytest.raises(CycleViolation):
         poset_from_doc(doc)
 
 
 def test_unknown_cover_event_rejected():
     doc = {"events": [0], "covers": [[0, 9]], "chains": []}
-    with pytest.raises(ValueError):
+    with pytest.raises(UnknownEvent):
+        poset_from_doc(doc)
+    doc = {"events": [0], "chains": [{"id": "c", "events": [9], "valuations": ["0"]}]}
+    with pytest.raises(UnknownEvent):
         poset_from_doc(doc)
 
 
 def test_dot_export():
-    poset = Poset()
-    for e in range(3):
-        poset.add_event(e)
-    poset.add_influence(0, 1)
-    poset.add_influence(1, 2)
-    poset.freeze()
+    poset = Poset(range(3), [(0, 1), (1, 2)])
     chain = Chain.build(poset, "c", [0, 1, 2], [0, 1, 2])
     dot = to_dot(poset, [chain])
     assert dot.count("->") == 2  # covers of a 3-chain
@@ -99,3 +111,31 @@ def test_json_doc_shape():
     assert set(doc) == {"events", "covers", "chains"}
     assert len(doc["events"]) == 15
     assert {c["id"] for c in doc["chains"]} == {"0", "1", "2"}
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+_CHAIN = st.fixed_dictionaries(
+    {"id": _JSON | st.text(max_size=2), "events": _JSON | st.lists(st.integers(-1, 3)),
+     "valuations": _JSON | st.lists(st.text(max_size=4) | st.integers(-2, 2))}
+)
+_DOC = _JSON | st.fixed_dictionaries(
+    {"events": _JSON | st.lists(st.integers(-1, 3), max_size=5)},
+    optional={
+        "covers": _JSON | st.lists(st.lists(st.integers(-1, 3), max_size=3), max_size=5),
+        "chains": _JSON | st.lists(_CHAIN, max_size=3),
+    },
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_DOC)
+def test_loader_raises_only_library_or_value_errors(doc):
+    try:
+        poset_from_doc(doc)
+    except (PosetGeoError, ValueError):
+        pass
