@@ -4,6 +4,13 @@ Each of the four projections Px, P'x (backward), Qx, Q'x is tested
 against three candidate composed projections; the column of the one
 that reproduces it is the digit.  Exactly five four-digit codes are
 realisable, one per collinearity case.
+
+Codes are computed on chain indices read from the Projector's rank
+tables.  The digit rule is written once (:func:`_codes`), over a batch
+of events: each digit reads only three of an event's four base indices,
+and its candidates from the chain pair's composed index lists.
+``census`` runs it on every event of a chain pair at once;
+``projection_code`` runs it on one event.
 """
 
 from __future__ import annotations
@@ -11,9 +18,9 @@ from __future__ import annotations
 import csv
 import enum
 import io
-import json
 from collections import Counter
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable, Sequence
 
 from .errors import InconsistentSides, MissingProjection
@@ -64,12 +71,40 @@ class ProjCode:
         return "".join("u" if d is None else str(d) for d in self.digits)
 
 
-def _digit(target: int, c0: int | None, c1: int | None, c2: int | None) -> int | None:
-    """Index of the one candidate equal to target; None if none or several."""
-    hits = (c0 == target) + (c1 == target) + (c2 == target)
-    if hits != 1:
-        return None
-    return 0 if c0 == target else 1 if c1 == target else 2
+# The digit of a target among its three candidates c0, c1, c2, indexed
+# by (c0 == t) + 2 * (c1 == t) + 4 * (c2 == t): the column of the one
+# candidate that equals the target, "u" when none or several do.
+_DIGIT = "u01u2uuu"
+# Every code string, mapped to its ProjCode digits.
+_CODE_DIGITS = dict(
+    zip(map("".join, product("012u", repeat=4)), product((0, 1, 2, None), repeat=4))
+)
+
+
+def _codes(
+    pr: Projector, p: Chain, q: Chain, base: Iterable[tuple[int, int, int, int]]
+) -> list[str]:
+    """The code strings of events whose projections onto p and q have
+    the chain indices (Px, P'x, Qx, Q'x) of ``base``, all defined.
+
+    This is the one digit rule.  Each digit reads three of the four
+    indices, and its candidates from the composed index lists, in the
+    columns of the table in :func:`projection_code`.
+    """
+    pf, pb, qf, qb = pr.composed(p, q)
+    d = _DIGIT
+    return [
+        d[(pf[fq] == fp) + 2 * (pf[bq] == fp) + 4 * (pb[fq] == fp)]
+        + d[(pb[fq] == bp) + 2 * (pb[bq] == bp) + 4 * (pf[bq] == bp)]
+        + d[(qf[fp] == fq) + 2 * (qf[bp] == fq) + 4 * (qb[fp] == fq)]
+        + d[(qb[fp] == bq) + 2 * (qb[bp] == bq) + 4 * (qf[bp] == bq)]
+        for fp, bp, fq, bq in base
+    ]
+
+
+def _require_distinct(p: Chain, q: Chain) -> None:
+    if p.chain_id == q.chain_id:
+        raise ValueError("projection_code requires two distinct chains")
 
 
 def projection_code(pr: Projector, x: int, p: Chain, q: Chain) -> ProjCode:
@@ -86,25 +121,21 @@ def projection_code(pr: Projector, x: int, p: Chain, q: Chain) -> ProjCode:
     Qx    QPx      QP'x      Q'Px
     Q'x   Q'Px     Q'P'x     QP'x
     ====  =======  ========  =======
+
+    Projections are compared as chain indices, which the rank tables
+    give directly: PQx is the P-index of the forward projection of the
+    element of Q at the index of Qx.
     """
-    if p.chain_id == q.chain_id:
-        raise ValueError("projection_code requires two distinct chains")
-    fwd, bwd = pr.forward, pr.backward
-    px, bpx, qx, bqx = fwd(x, p), bwd(x, p), fwd(x, q), bwd(x, q)
-    if px is None or bpx is None or qx is None or bqx is None:
-        base = zip(("Px", "P'x", "Qx", "Q'x"), (px, bpx, qx, bqx))
-        missing = [name for name, v in base if v is None]
+    _require_distinct(p, q)
+    row = pr.row(x)
+    pt, qt = pr.table(p), pr.table(q)
+    base = (pt.forward[row], pt.backward[row], qt.forward[row], qt.backward[row])
+    if None in base:
+        names = ("Px", "P'x", "Qx", "Q'x")
+        missing = [name for name, i in zip(names, base) if i is None]
         raise MissingProjection(f"projections {missing} of event {x} undefined")
-    p_qx, p_bqx, bp_qx, bp_bqx = fwd(qx, p), fwd(bqx, p), bwd(qx, p), bwd(bqx, p)
-    q_px, q_bpx, bq_px, bq_bpx = fwd(px, q), fwd(bpx, q), bwd(px, q), bwd(bpx, q)
-    return ProjCode(
-        (
-            _digit(px, p_qx, p_bqx, bp_qx),
-            _digit(bpx, bp_qx, bp_bqx, p_bqx),
-            _digit(qx, q_px, q_bpx, bq_px),
-            _digit(bqx, bq_px, bq_bpx, q_bpx),
-        )
-    )
+    (code,) = _codes(pr, p, q, (base,))
+    return ProjCode(_CODE_DIGITS[code])
 
 
 def classify_collinearity(
@@ -243,31 +274,26 @@ class CensusResult:
             writer.writerow([code, count])
         return buf.getvalue()
 
-    def to_json_summary(self) -> str:
-        return json.dumps(
-            {
-                "legal_codes_only": self.legal_codes_only,
-                "total": self.total,
-                "distinct_codes": len(self.histogram),
-            }
-        )
-
 
 def census(
     pr: Projector,
     chain_pairs: Iterable[tuple[Chain, Chain]],
     events: Sequence[int] | None = None,
 ) -> CensusResult:
-    """Count the projection code of every (event, chain pair)."""
+    """Count the projection code of every (event, chain pair) whose four
+    projections exist, one chain pair at a time."""
+    rows = None if events is None else [pr.row(e) for e in events]
     hist: Counter = Counter()
     total = 0
-    universe = events if events is not None else pr.poset.events()
     for p, q in chain_pairs:
-        for x in universe:
-            try:
-                code = projection_code(pr, x, p, q)
-            except MissingProjection:
-                continue
-            hist[str(code)] += 1
-            total += 1
+        _require_distinct(p, q)
+        pt, qt = pr.table(p), pr.table(q)
+        fp, bp, fq, bq = pt.forward, pt.backward, qt.forward, qt.backward
+        if rows is None:
+            base = zip(fp, bp, fq, bq)
+        else:
+            base = [(fp[r], bp[r], fq[r], bq[r]) for r in rows]
+        codes = _codes(pr, p, q, [t for t in base if None not in t])
+        hist.update(codes)
+        total += len(codes)
     return CensusResult(hist, total)

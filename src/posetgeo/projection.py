@@ -4,11 +4,12 @@ Forward/backward projections are rank queries over reachability
 bitmasks.  A chain lists its elements in poset order (``Chain.build``
 checks this, and the generators build chains that way), so the chain
 elements above x form a suffix and those below x a prefix.  With
-``mask`` the rows of the chain's elements, the forward projection is
-``elems[len(elems) - popcount(up[x] & mask)]`` and the backward
-projection ``elems[popcount(down[x] & mask) - 1]``; a popcount of 0
-means the projection does not exist.  :class:`Projector` keeps one mask
-per chain and memoises each (event, chain) answer.
+``mask`` the rows of the chain's elements, the forward projection of x
+has chain index ``len(elems) - popcount(up[x] & mask)`` and the backward
+projection ``popcount(down[x] & mask) - 1``; a popcount of 0 means the
+projection does not exist.  :class:`Projector` computes both indices for
+every poset row at once, in one :class:`RankTable` per chain, and
+memoises each (event, chain) answer of ``forward``/``backward``.
 
 The Projector is the one context of every geometry function in this
 package: each takes ``pr`` first and reads the poset as ``pr.poset``.
@@ -20,7 +21,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotBetween, Unquantifiable
+from .errors import NotBetween, UnknownEvent, Unquantifiable
 from .poset import Chain, Poset
 
 
@@ -53,25 +54,83 @@ class QuantPair:
         return (self.first, self.second)
 
 
-class Projector:
-    """Projection engine over an immutable poset, with memoisation.
+class RankTable:
+    """Where every poset row projects onto one chain, as chain indices.
 
-    Memo entries and masks are keyed by the Chain object itself, not by
-    its id, so two chains that share an id never share answers.
+    ``forward[r]`` and ``backward[r]`` are the indices in the chain of
+    the forward and backward projections of the event at poset row r,
+    None where the projection does not exist; ``rows[i]`` is the poset
+    row of the chain's element i.
+    """
+
+    __slots__ = ("rows", "forward", "backward")
+
+    def __init__(
+        self, rows: list[int], forward: list[int | None], backward: list[int | None]
+    ) -> None:
+        self.rows = rows
+        self.forward = forward
+        self.backward = backward
+
+
+class Projector:
+    """Projection engine over an immutable poset.
+
+    It builds one :class:`RankTable` per chain on first use, and the
+    composed index lists of each ordered chain pair.  ``forward``
+    and ``backward`` answer from the table and memoise each (event,
+    chain) answer.  Tables, lists and memo entries are keyed by the
+    Chain object itself, not by its id, so two chains that share an id
+    never share answers.
     """
 
     def __init__(self, poset: Poset) -> None:
         self.poset = poset
+        ids = poset.events()
+        self._rows = {e: i for i, e in enumerate(ids)}
+        self._up = list(map(poset.up_mask, ids))
+        self._down = list(map(poset.down_mask, ids))
         self._fwd: dict[tuple[Chain, int], int | None] = {}
         self._bwd: dict[tuple[Chain, int], int | None] = {}
-        self._masks: dict[Chain, int] = {}
+        self._tables: dict[Chain, RankTable] = {}
+        self._composed: dict[tuple[Chain, Chain], tuple[list, list, list, list]] = {}
 
-    def _chain_mask(self, chain: Chain) -> int:
-        """Bitmask of the rows of the chain's elements, built once."""
-        mask = self._masks.get(chain)
-        if mask is None:
-            mask = self._masks[chain] = self.poset.rows_mask(chain.elements)
-        return mask
+    def row(self, event: int) -> int:
+        """The poset row of event."""
+        try:
+            return self._rows[event]
+        except KeyError:
+            raise UnknownEvent(f"unknown event {event}") from None
+
+    def table(self, chain: Chain) -> RankTable:
+        """The chain's rank table, built once: two popcounts per row."""
+        table = self._tables.get(chain)
+        if table is None:
+            mask = self.poset.rows_mask(chain.elements)
+            n = len(chain)
+            table = self._tables[chain] = RankTable(
+                [self.row(e) for e in chain.elements],
+                [n - k if (k := (u & mask).bit_count()) else None for u in self._up],
+                [k - 1 if (k := (d & mask).bit_count()) else None for d in self._down],
+            )
+        return table
+
+    def composed(self, p: Chain, q: Chain) -> tuple[list, list, list, list]:
+        """The composed index lists of the pair (p, q), built once: the
+        p-indices of the forward and of the backward projection of each
+        element of q, in q order, then the q-indices of those of each
+        element of p."""
+        key = (p, q)
+        lists = self._composed.get(key)
+        if lists is None:
+            pt, qt = self.table(p), self.table(q)
+            lists = self._composed[key] = (
+                [pt.forward[r] for r in qt.rows],
+                [pt.backward[r] for r in qt.rows],
+                [qt.forward[r] for r in pt.rows],
+                [qt.backward[r] for r in pt.rows],
+            )
+        return lists
 
     def forward(self, x: int, chain: Chain) -> int | None:
         """min{p in chain | x <= p}, or None."""
@@ -80,10 +139,8 @@ class Projector:
             return self._fwd[key]
         except KeyError:
             pass
-        elems = chain.elements
-        above = (self.poset.up_mask(x) & self._chain_mask(chain)).bit_count()
-        result = elems[len(elems) - above] if above else None
-        self._fwd[key] = result
+        i = self.table(chain).forward[self.row(x)]
+        result = self._fwd[key] = None if i is None else chain.elements[i]
         return result
 
     def backward(self, x: int, chain: Chain) -> int | None:
@@ -93,9 +150,8 @@ class Projector:
             return self._bwd[key]
         except KeyError:
             pass
-        below = (self.poset.down_mask(x) & self._chain_mask(chain)).bit_count()
-        result = chain.elements[below - 1] if below else None
-        self._bwd[key] = result
+        i = self.table(chain).backward[self.row(x)]
+        result = self._bwd[key] = None if i is None else chain.elements[i]
         return result
 
 

@@ -7,6 +7,7 @@ and chains with exact rational valuations rendered as "p/q" strings.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import IO, Sequence
 
@@ -42,7 +43,22 @@ def _int_list(value, what: str) -> list[int]:
     return value
 
 
+# Fraction expands a decimal exponent into an exact power of ten, so a
+# short string such as "1e100000000" would stall the loader.  A valuation
+# whose exponent exceeds MAX_EXPONENT is rejected before it reaches
+# Fraction.
+MAX_EXPONENT = 1000
+_EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)")
+
+
 def _fraction(value, chain_id: str) -> Fraction:
+    if isinstance(value, str) and (match := _EXPONENT.search(value)):
+        digits = match.group(1).replace("_", "").lstrip("0") or "0"
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+            raise ValueError(
+                f"chain {chain_id!r}: valuation {value[:40]!r} has an exponent"
+                f" beyond {MAX_EXPONENT}"
+            )
     try:
         return Fraction(value)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):

@@ -8,6 +8,7 @@ products from embedded coordinates.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 import pytest
@@ -16,6 +17,9 @@ from posetgeo import Chain, Poset, lattice_1p1
 from posetgeo.projection import Projector
 
 
+# Posets and chains never change, so a scan answer can be kept; the
+# census oracle asks for each one many times.
+@cache
 def scan_forward(poset: Poset, x: int, chain: Chain) -> int | None:
     """Least upper bound of x on the chain by exhaustive scan."""
     above = [p for p in chain.elements if poset.leq(x, p)]
@@ -24,6 +28,7 @@ def scan_forward(poset: Poset, x: int, chain: Chain) -> int | None:
     return min(above, key=chain.value)
 
 
+@cache
 def scan_backward(poset: Poset, x: int, chain: Chain) -> int | None:
     below = [p for p in chain.elements if poset.leq(p, x)]
     if not below:

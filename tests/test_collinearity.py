@@ -13,6 +13,7 @@ from posetgeo import (
     chains_properly_collinear,
     classify_collinearity,
     dotprod_config,
+    grid_config,
     in_subspace,
     is_properly_collinear,
     lattice_1p1,
@@ -209,3 +210,44 @@ def test_codes_match_reference_on_dual_lattice(lattice):
     dual = lattice.poset.dual()
     seen = _codes_match_reference(dual, [c.dual() for c in lattice.chains])
     assert {"2201", "1010", "0122"} <= set(seen)
+
+
+def _reference_census(poset, pairs, events) -> Counter:
+    """The scan-oracle codes of every (event, pair) slot whose four
+    projections exist."""
+    codes = (reference_code(poset, x, p, q) for p, q in pairs for x in events)
+    return Counter(code for code in codes if code is not None)
+
+
+def _layout(bundle):
+    return bundle.poset, bundle.chains
+
+
+def _dual(poset, chains):
+    return poset.dual(), [c.dual() for c in chains]
+
+
+def _case_iv_layout():
+    poset, p, q, _ = _case_iv_poset()
+    return poset, [p, q]
+
+
+@pytest.mark.parametrize("layout", [
+    lambda: _layout(lattice_1p1(4, 20)),
+    lambda: _dual(*_layout(lattice_1p1(4, 20))),
+    lambda: _layout(grid_config(3, 4, 3, 4).bundle),
+    lambda: _layout(dotprod_config(1).bundle),
+    _case_iv_layout,
+    lambda: _dual(*_case_iv_layout()),
+], ids=["lattice", "dual-lattice", "grid", "dotprod", "case-iv", "dual-case-iv"])
+def test_census_matches_reference_codes(layout):
+    poset, chains = layout()
+    pairs = list(permutations(chains, 2))
+    result = census(Projector(poset), pairs)
+    expected = _reference_census(poset, pairs, poset.events())
+    assert result.histogram == expected
+    assert result.total == sum(expected.values())
+    subset = poset.events()[::3]
+    assert census(Projector(poset), pairs, events=subset).histogram == (
+        _reference_census(poset, pairs, subset)
+    )

@@ -1,5 +1,6 @@
 import io
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -111,6 +112,28 @@ def test_json_doc_shape():
     assert set(doc) == {"events", "covers", "chains"}
     assert len(doc["events"]) == 15
     assert {c["id"] for c in doc["chains"]} == {"0", "1", "2"}
+
+
+def _one_valuation_doc(text):
+    return {"events": [0], "chains": [{"id": "c", "events": [0], "valuations": [text]}]}
+
+
+@pytest.mark.parametrize("text, value", [
+    ("3/2", Fraction(3, 2)),
+    ("-7", Fraction(-7)),
+    ("0.5", Fraction(1, 2)),
+    ("25e-1", Fraction(5, 2)),
+    ("1e1000", Fraction(10**1000)),
+])
+def test_valuation_strings_load(text, value):
+    _, chains = poset_from_doc(_one_valuation_doc(text))
+    assert chains["c"].value(0) == value
+
+
+@pytest.mark.parametrize("text", ["1e100000", "1E-100000", "1e1_001", "2.5e+0001001"])
+def test_valuation_with_a_large_exponent_is_rejected(text):
+    with pytest.raises(ValueError, match="exponent"):
+        poset_from_doc(_one_valuation_doc(text))
 
 
 _JSON = st.recursive(
