@@ -10,7 +10,8 @@ tables.  The digit rule is written once (:func:`_codes`), over a batch
 of events: each digit reads only three of an event's four base indices,
 and its candidates from the chain pair's composed index lists.
 ``census`` runs it on every event of a chain pair at once;
-``projection_code`` runs it on one event.
+``projection_code`` runs it on one event, and ``chains_properly_collinear``
+on a window of a third chain.
 """
 
 from __future__ import annotations
@@ -163,6 +164,18 @@ _SIDES = {
     CollinearityCase.CASE_III: SideClass.Q_SIDE,
 }
 
+_PROPER_CODES = frozenset(
+    "".join(map(str, digits))
+    for digits, case in _LEGAL_CODES.items()
+    if case in _PROPER
+)
+
+
+def _side_of_code(code: str) -> SideClass:
+    """The side class of a code string, as :func:`side_of` gives it."""
+    case = _LEGAL_CODES.get(_CODE_DIGITS[code], CollinearityCase.NOT_COLLINEAR)
+    return _SIDES.get(case, SideClass.NONE)
+
 
 def side_of(pr: Projector, x: int, p: Chain, q: Chain) -> SideClass:
     case = classify_collinearity(pr, x, p, q)
@@ -213,6 +226,34 @@ def chain_order(
     return (p, q, x_chain)
 
 
+def _window_codes(
+    pr: Projector, x_chain: Chain, p: Chain, q: Chain, rows: Sequence[int]
+) -> list[str] | None:
+    """The codes of the events at poset ``rows`` of x_chain against (p, q),
+    from one batched :func:`_codes` call, when those events are properly
+    collinear with (p, q) and their projections onto each of p and q
+    cover a closed subchain; None otherwise, a missing projection
+    included."""
+    if x_chain.chain_id in (p.chain_id, q.chain_id):
+        raise ValueError("chains_properly_collinear requires distinct chains")
+    if not rows:
+        return None
+    _require_distinct(p, q)
+    pt, qt = pr.table(p), pr.table(q)
+    fp, bp, fq, bq = pt.forward, pt.backward, qt.forward, qt.backward
+    base = [(fp[r], bp[r], fq[r], bq[r]) for r in rows]
+    if any(None in b for b in base):
+        return None
+    codes = _codes(pr, p, q, base)
+    if not _PROPER_CODES.issuperset(codes):
+        return None
+    for f, b in ((0, 1), (2, 3)):
+        image = {t[f] for t in base} | {t[b] for t in base}
+        if max(image) - min(image) + 1 != len(image):
+            return None
+    return codes
+
+
 def chains_properly_collinear(
     pr: Projector,
     x_chain: Chain,
@@ -225,27 +266,13 @@ def chains_properly_collinear(
 
     ``events`` restricts the check to a window of x_chain (defaults to
     the whole chain, which on finite chains usually fails at the
-    boundary where projections run off p or q).
+    boundary where projections run off p or q).  The window is read
+    from the rank tables and classified in one batch; an event with a
+    missing projection onto p or q makes the answer False, whichever
+    of the two chains it misses.
     """
-    if x_chain.chain_id in (p.chain_id, q.chain_id):
-        raise ValueError("chains_properly_collinear requires distinct chains")
-    window = list(events) if events is not None else list(x_chain.elements)
-    if not window:
-        return False
-    for target in (p, q):
-        image = set()
-        for e in window:
-            fwd, bwd = pr.forward(e, target), pr.backward(e, target)
-            if fwd is None or bwd is None:
-                return False
-            image.add(fwd)
-            image.add(bwd)
-        if not all(is_properly_collinear(pr, e, p, q) for e in window):
-            return False
-        idx = sorted(target.index_of(e) for e in image)
-        if set(range(idx[0], idx[-1] + 1)) != set(idx):
-            return False
-    return True
+    window = x_chain.elements if events is None else events
+    return _window_codes(pr, x_chain, p, q, [pr.row(e) for e in window]) is not None
 
 
 @dataclass

@@ -4,6 +4,7 @@ Pythagorean theorem, and simplex quantification tables."""
 from __future__ import annotations
 
 import enum
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -26,13 +27,21 @@ from .projection import (
 )
 
 
-def _window(chain: Chain, interval: tuple[int, int] | None) -> list[int]:
-    if interval is None:
-        return list(chain.elements)
+def _span(chain: Chain, interval: tuple[int, int]) -> tuple[int, int]:
+    """The chain indices of the closed window between two of its events."""
     lo, hi = chain.index_of(interval[0]), chain.index_of(interval[1])
-    if lo > hi:
-        lo, hi = hi, lo
-    return list(chain.elements[lo : hi + 1])
+    return (lo, hi) if lo <= hi else (hi, lo)
+
+
+def _scaled_values(pr: Projector, chain: Chain) -> tuple[list[int], int]:
+    """The chain's valuations in chain order as integers over their least
+    common denominator, and that denominator.  Kept per projector
+    through ``pr.once``."""
+    values = [chain.valuation[e] for e in chain.elements]
+    lcm = 1
+    for v in values:
+        lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
+    return [v.numerator * (lcm // v.denominator) for v in values], lcm
 
 
 def are_coordinated(
@@ -48,60 +57,54 @@ def are_coordinated(
     With no explicit windows, the P window is the maximal run of P whose
     forward projections onto Q exist, and the Q window is its image span.
     Raises Unquantifiable when no projection exists at all.
+
+    The check runs on chain indices: the forward images of the P window
+    are the Q-indices of ``pr.composed(p, q)``, and the backward images
+    of the Q window its P-indices.  A bijection maps the window onto a
+    run of consecutive indices.  Valuation offsets are compared exactly,
+    element by element, as integers: each chain's valuations scaled to
+    its least common denominator, once per projector.
     """
     if p.chain_id == q.chain_id:
         return True
 
+    _, back_of, image_of, _ = pr.composed(p, q)
     if p_interval is None:
-        wp = [e for e in p.elements if pr.forward(e, q) is not None]
-        if not wp:
+        defined = [i for i, j in enumerate(image_of) if j is not None]
+        if not defined:
             raise Unquantifiable(
                 f"no element of {p.chain_id} projects onto {q.chain_id}"
             )
-        # the defined-forward region of a chain is an upward-closed
-        # prefix; demand contiguity so the window is a closed subchain
-        lo = p.index_of(wp[0])
-        if list(p.elements[lo : lo + len(wp)]) != wp:
+        # the defined-forward region of a chain is a prefix; demand
+        # contiguity so the window is a closed subchain
+        lo, hi = defined[0], defined[-1]
+        if hi - lo + 1 != len(defined):
             return False
     else:
-        wp = _window(p, p_interval)
+        lo, hi = _span(p, p_interval)
 
-    images = []
-    for e in wp:
-        img = pr.forward(e, q)
-        if img is None:
-            raise Unquantifiable(f"forward projection of {e} leaves {q.chain_id}")
-        images.append(img)
-
+    images = image_of[lo : hi + 1]
+    if None in images:
+        e = p.elements[lo + images.index(None)]
+        raise Unquantifiable(f"forward projection of {e} leaves {q.chain_id}")
     if q_interval is None:
-        qlo = q.index_of(images[0])
-        qhi = q.index_of(images[-1])
-        wq = list(q.elements[min(qlo, qhi) : max(qlo, qhi) + 1])
+        qlo, qhi = sorted((images[0], images[-1]))
     else:
-        wq = _window(q, q_interval)
+        qlo, qhi = _span(q, q_interval)
 
-    wq_set = set(wq)
-    offsets = {q.value(img) - p.value(e) for e, img in zip(wp, images)}
-    if len(offsets) != 1:
-        return False
-    if any(img not in wq_set for img in images):
-        return False
-    if set(images) != wq_set:
+    vp, lp = pr.once(_scaled_values, p)
+    vq, lq = pr.once(_scaled_values, q)
+    # v_q - v_p, scaled by lp * lq, is one integer for every pair
+    offsets = {vq[j] * lp - vp[i] * lq for i, j in enumerate(images, lo)}
+    if len(offsets) != 1 or set(images) != set(range(qlo, qhi + 1)):
         return False
 
-    wp_set = set(wp)
-    back = []
-    for e in wq:
-        img = pr.backward(e, p)
-        if img is None:
-            raise Unquantifiable(f"backward projection of {e} leaves {p.chain_id}")
-        back.append(img)
-    back_offsets = {p.value(img) - q.value(e) for e, img in zip(wq, back)}
-    if len(back_offsets) != 1:
-        return False
-    if any(img not in wp_set for img in back) or set(back) != wp_set:
-        return False
-    return True
+    back = back_of[qlo : qhi + 1]
+    if None in back:
+        e = q.elements[qlo + back.index(None)]
+        raise Unquantifiable(f"backward projection of {e} leaves {p.chain_id}")
+    back_offsets = {vp[i] * lq - vq[j] * lp for j, i in enumerate(back, qlo)}
+    return len(back_offsets) == 1 and set(back) == set(range(lo, hi + 1))
 
 
 def check_orthogonal_subspaces(

@@ -1,5 +1,14 @@
 """Fences (uniform families of parallel chains), grids built from two
-fence families, and the discrete dot, wedge and geometric products."""
+fence families, and the discrete dot, wedge and geometric products.
+
+Fence validation runs on chain indices read from the Projector's rank
+tables: the distance of an adjacent pair, its coordination on the pair's
+composed index lists, and the collinearity of each consecutive triple,
+whose interior window is classified in one batch of the digit rule.
+Each of these verdicts is computed once per projector (``pr.once``), so
+the fences of one family, and the rows and columns of one grid, share
+the pairs and triples they have in common.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .collinearity import SideClass, chains_properly_collinear, side_of
+from .collinearity import SideClass, _side_of_code, _window_codes
 from .coordination import are_coordinated
 from .errors import (
     MissingProjection,
@@ -47,10 +56,11 @@ def _event_chain_time(pr: Projector, x: int, chain: Chain) -> Fraction:
 def chain_pair_distance(pr: Projector, p: Chain, q: Chain) -> Fraction:
     """Distance between two parallel chains, measured by projecting an
     interior element of P through Q in both directions."""
-    for e in p.elements:
-        f, b = pr.forward(e, q), pr.backward(e, q)
+    qt = pr.table(q)
+    for r in pr.table(p).rows:
+        f, b = qt.forward[r], qt.backward[r]
         if f is not None and b is not None:
-            return (q.value(f) - q.value(b)) / 2
+            return (q.value(q.elements[f]) - q.value(q.elements[b])) / 2
     raise Unquantifiable(
         f"no element of {p.chain_id} projects through {q.chain_id} both ways"
     )
@@ -69,14 +79,35 @@ class Fence:
 
 
 def _interior_window(pr: Projector, chain: Chain, others: Sequence[Chain]) -> list[int]:
-    out = []
-    for e in chain.elements:
-        if all(
-            pr.forward(e, o) is not None and pr.backward(e, o) is not None
-            for o in others
-        ):
-            out.append(e)
-    return out
+    """The poset rows of the chain's events that project both ways onto
+    every chain of others."""
+    tables = [pr.table(o) for o in others]
+    return [
+        r
+        for r in pr.table(chain).rows
+        if all(t.forward[r] is not None and t.backward[r] is not None for t in tables)
+    ]
+
+
+def _triple_fault(pr: Projector, left: Chain, mid: Chain, right: Chain) -> str | None:
+    """Why the fence triple (left, mid, right) fails, or None: mid's
+    interior window must be properly collinear with its neighbours, and
+    its middle event between them.  The window is classified once."""
+    window = _interior_window(pr, mid, (left, right))
+    if not window:
+        return f"{mid.chain_id} has no events projecting through both neighbours"
+    codes = _window_codes(pr, mid, left, right, window)
+    if codes is None:
+        return (
+            f"{mid.chain_id} is not properly collinear with "
+            f"{left.chain_id} and {right.chain_id}"
+        )
+    if _side_of_code(codes[len(codes) // 2]) is not SideClass.BETWEEN:
+        return (
+            f"{mid.chain_id} does not lie between {left.chain_id} "
+            f"and {right.chain_id}"
+        )
+    return None
 
 
 def validate_fence(pr: Projector, chains: Sequence[Chain]) -> Fence:
@@ -86,41 +117,34 @@ def validate_fence(pr: Projector, chains: Sequence[Chain]) -> Fence:
     sit at one common projection-derived distance; every consecutive
     triple must be properly collinear with the middle chain between its
     neighbours.
+
+    Each verdict is reached once per projector (``pr.once``): the
+    distance and the coordination of an adjacent pair, keyed by the two
+    Chain objects, and the collinearity of a triple, keyed by the three.
+    So fences that share pairs and triples on one projector share their
+    work, and the verdicts equal those of a fresh projector.
     """
     if len(chains) < 3:
         raise ValueError("a fence needs at least three chains")
 
-    spacings = []
-    for a, b in zip(chains, chains[1:]):
-        spacings.append(chain_pair_distance(pr, a, b))
+    pairs = list(zip(chains, chains[1:]))
+    spacings = [pr.once(chain_pair_distance, a, b) for a, b in pairs]
     if len(set(spacings)) != 1:
         raise NonUniformSpacing(f"adjacent chain distances differ: {spacings}")
     spacing = spacings[0]
     if spacing <= 0:
         raise NonUniformSpacing(f"degenerate spacing {spacing}")
 
-    for a, b in zip(chains, chains[1:]):
-        if not are_coordinated(pr, a, b):
+    for a, b in pairs:
+        if not pr.once(are_coordinated, a, b):
             raise NotCoordinated(f"{a.chain_id} and {b.chain_id} are not coordinated")
 
     # collinearity of consecutive triples extends to the whole family by
     # transitivity of betweenness along a uniformly spaced line
-    for left, mid, right in zip(chains, chains[1:], chains[2:]):
-        window = _interior_window(pr, mid, (left, right))
-        if not window:
-            raise NotCollinear(
-                f"{mid.chain_id} has no events projecting through both neighbours"
-            )
-        if not chains_properly_collinear(pr, mid, left, right, events=window):
-            raise NotCollinear(
-                f"{mid.chain_id} is not properly collinear with "
-                f"{left.chain_id} and {right.chain_id}"
-            )
-        if side_of(pr, window[len(window) // 2], left, right) is not SideClass.BETWEEN:
-            raise NotCollinear(
-                f"{mid.chain_id} does not lie between {left.chain_id} "
-                f"and {right.chain_id}"
-            )
+    for triple in zip(chains, chains[1:], chains[2:]):
+        fault = pr.once(_triple_fault, *triple)
+        if fault is not None:
+            raise NotCollinear(fault)
     return Fence(chains=tuple(chains), spacing=spacing)
 
 

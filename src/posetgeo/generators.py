@@ -10,6 +10,7 @@ The triangle inequality on the metric guarantees transitivity.
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 from dataclasses import dataclass
@@ -50,8 +51,12 @@ class WorldlineSpec:
     tick_times: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        ticks = tuple(Fraction(t) for t in self.tick_times)
-        object.__setattr__(self, "tick_times", ticks)
+        ticks = self.tick_times
+        # a tuple of Fractions is kept as it is, so worldlines built from
+        # one tick tuple share it
+        if type(ticks) is not tuple or any(type(t) is not Fraction for t in ticks):
+            ticks = tuple(Fraction(t) for t in ticks)
+            object.__setattr__(self, "tick_times", ticks)
         if not ticks:
             raise EmptyWorldline(f"worldline {self.position_id} has no ticks")
         if any(a >= b for a, b in zip(ticks, ticks[1:])):
@@ -126,7 +131,7 @@ class MetricPoset:
         poset: Poset,
         chains: list[Chain],
         config: MetricConfig,
-        event_index: dict[tuple[str, Fraction], int],
+        event_index: dict[str, tuple[int, dict[Fraction, int]]],
     ) -> None:
         self.poset = poset
         self.chains = chains
@@ -141,16 +146,54 @@ class MetricPoset:
             raise UnknownChain(f"no chain {position_id!r}") from None
 
     def event(self, position_id: str, tick: Rational) -> int:
-        return self._event_index[(position_id, Fraction(tick))]
+        # a worldline's first row, and the index of each of its ticks
+        first, index = self._event_index[position_id]
+        return first + index[Fraction(tick)]
 
     def sq_dist_chains(self, a: str, b: str) -> Fraction:
         return self.config.sq_dist(a, b)
 
 
+def _threshold(d2: Fraction, scale: int) -> int:
+    """The least integer D >= 0 with D^2 >= d2 * scale^2: on the
+    integer-scaled tick grid, (t2 - t1)^2 >= d^2 with t2 >= t1 reads
+    t2 - t1 >= D."""
+    # D^2 * q >= r, and D^2 is an integer, so D^2 >= ceil(r / q)
+    need = -(-d2.numerator * scale * scale // d2.denominator)
+    root = math.isqrt(need)
+    return root if root * root == need else root + 1
+
+
+def _step(ticks: Sequence[int]) -> int | None:
+    """The common difference of an arithmetic tick sequence, else None
+    (1 for a single tick, whose one difference is vacuous)."""
+    if len(ticks) == 1:
+        return 1
+    step = ticks[1] - ticks[0]
+    if any(b - a != step for a, b in zip(ticks, ticks[1:])):
+        return None
+    return step
+
+
 def build_metric_poset(
     config: MetricConfig, worldlines: Sequence[WorldlineSpec]
 ) -> MetricPoset:
-    """Realize worldlines over a metric as a poset plus chains."""
+    """Realize worldlines over a metric as a poset plus chains.
+
+    Worldline w takes the rows of one block, in tick order.  Ticks are
+    scaled to one integer grid, so the order rule between worldlines i
+    and j reads t_j - t_i >= D_ij, with D_ij from one ``isqrt`` (see
+    :func:`_threshold`).  Worldlines that share one evenly spaced tick
+    tuple of n ticks (every preset grid) share one shift k_ij = ceil(D_ij
+    / step) per pair: row a of i lies below rows a + k_ij .. n - 1 of j.
+    So worldline i has one up template, the bits of row 0, and row a's
+    up mask is that template shifted left by a, with the bits that
+    spill into the next block cleared; the down masks mirror it from
+    the last row.  This is the shift-and idiom of bit-parallel string
+    matching (Baeza-Yates and Gonnet, CACM 1992).  A pair outside such
+    a group (a probe with its own ticks) joins row by row, through a
+    ``bisect`` at t + D and t - D.
+    """
     seen = set()
     for w in worldlines:
         if w.position_id not in config.positions:
@@ -161,64 +204,88 @@ def build_metric_poset(
         if not w.tick_times:
             raise EmptyWorldline(w.position_id)
 
+    # scale every tick to a shared integer grid so the causal-rule
+    # comparisons run on plain ints instead of Fractions; a tick tuple
+    # that several worldlines share is scaled once
+    distinct = {id(w.tick_times): w.tick_times for w in worldlines}
+    scale = 1
+    for ticks in distinct.values():
+        for t in ticks:
+            scale = scale * t.denominator // math.gcd(scale, t.denominator)
+    scaled_of = {
+        key: tuple(t.numerator * (scale // t.denominator) for t in ticks)
+        for key, ticks in distinct.items()
+    }
+    groups: dict[tuple[int, ...], list[int]] = {}
+    scaled = []
     offsets = []
     total = 0
-    for w in worldlines:
+    for wi, w in enumerate(worldlines):
+        ticks = scaled_of[id(w.tick_times)]
+        scaled.append(ticks)
+        groups.setdefault(ticks, []).append(wi)
         offsets.append(total)
-        total += len(w.tick_times)
-
-    full_mask = []
-    for off, w in zip(offsets, worldlines):
-        n = len(w.tick_times)
-        full_mask.append(((1 << n) - 1) << off)
-
-    # scale every tick to a shared integer grid so the causal-rule
-    # comparisons run on plain ints instead of Fractions
-    scale = 1
-    for w in worldlines:
-        for t in w.tick_times:
-            scale = scale * t.denominator // math.gcd(scale, t.denominator)
-    scaled = [[int(t * scale) for t in w.tick_times] for w in worldlines]
+        total += len(ticks)
+    ids = [w.position_id for w in worldlines]
+    threshold = [
+        [_threshold(config.sq_dist(a, b), scale) for b in ids] for a in ids
+    ]
 
     up = [0] * total
     down = [0] * total
-    for wi, (off_i, w_i) in enumerate(zip(offsets, worldlines)):
-        ticks_i = scaled[wi]
-        for wj, (off_j, w_j) in enumerate(zip(offsets, worldlines)):
-            d2 = config.sq_dist(w_i.position_id, w_j.position_id)
-            # (tj - ti)^2 >= d2 becomes dt^2 * q >= r on the scaled grid
-            r = d2.numerator * scale * scale
-            q = d2.denominator
-            ticks_j = scaled[wj]
-            nj = len(ticks_j)
-            # thresholds are monotone in t, so sweep with two pointers
-            j0 = 0
-            j1 = -1
-            for i, t in enumerate(ticks_i):
-                row = off_i + i
-                while j0 < nj and (
-                    ticks_j[j0] < t or (ticks_j[j0] - t) ** 2 * q < r
-                ):
-                    j0 += 1
-                if j0 < nj:
-                    up[row] |= (full_mask[wj] >> (off_j + j0)) << (off_j + j0)
-                while j1 + 1 < nj and ticks_j[j1 + 1] <= t and (
-                    (t - ticks_j[j1 + 1]) ** 2 * q >= r
-                ):
-                    j1 += 1
-                if j1 >= 0:
-                    down[row] |= full_mask[wj] & ((1 << (off_j + j1 + 1)) - 1)
+    shifted = set()
+    for ticks, members in groups.items():
+        step = _step(ticks)
+        if step is None:
+            continue
+        n = len(ticks)
+        block = (1 << n) - 1
+        starts = sum(1 << offsets[j] for j in members)
+        full = block * starts
+        for i in members:
+            up_t = down_t = 0
+            for j in members:
+                k = -(-threshold[i][j] // step)
+                if k < n:
+                    up_t |= (block >> k << k) << offsets[j]
+                    down_t |= (block >> k) << offsets[j]
+                shifted.add((i, j))
+            off = offsets[i]
+            low = 0  # the bits of in-block index < a, then <= a
+            for a in range(n):
+                high = full ^ low
+                low |= starts << a
+                up[off + a] |= (up_t << a) & high
+                down[off + a] |= (down_t >> (n - 1 - a)) & low
+
+    for i, ticks_i in enumerate(scaled):
+        off_i = offsets[i]
+        for j, ticks_j in enumerate(scaled):
+            if (i, j) in shifted:
+                continue
+            gap = threshold[i][j]
+            off_j = offsets[j]
+            top = ((1 << len(ticks_j)) - 1) << off_j
+            for a, t in enumerate(ticks_i):
+                lo = bisect.bisect_left(ticks_j, t + gap)
+                hi = bisect.bisect_right(ticks_j, t - gap)
+                up[off_i + a] |= top >> (off_j + lo) << (off_j + lo)
+                down[off_i + a] |= top & ((1 << (off_j + hi)) - 1)
 
     poset = Poset._from_masks(range(total), up, down)
 
+    # WorldlineSpec has checked each tick tuple, and a tuple's tick index
+    # is built once however many worldlines share it
+    tick_index = {
+        key: {t: i for i, t in enumerate(ticks)} for key, ticks in distinct.items()
+    }
     chains = []
-    event_index: dict[tuple[str, Fraction], int] = {}
+    event_index = {}
     for off, w in zip(offsets, worldlines):
-        elements = list(range(off, off + len(w.tick_times)))
+        elements = range(off, off + len(w.tick_times))
         valuation = dict(zip(elements, w.tick_times))
-        chains.append(Chain(w.position_id, elements, valuation))
-        for e, t in valuation.items():
-            event_index[(w.position_id, t)] = e
+        chains.append(Chain._from_checked(w.position_id, elements, valuation))
+        event_index[w.position_id] = (off, tick_index[id(w.tick_times)])
     return MetricPoset(poset, chains, config, event_index)
 
 

@@ -20,9 +20,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, TypeVar
 
 from .errors import NotBetween, UnknownEvent, Unquantifiable
 from .poset import Chain, Poset
+
+_T = TypeVar("_T")
 
 
 class IntervalClass(enum.Enum):
@@ -79,9 +82,11 @@ class Projector:
     It builds one :class:`RankTable` per chain on first use, and the
     composed index lists of each ordered chain pair.  ``forward``
     and ``backward`` answer from the table and memoise each (event,
-    chain) answer.  Tables, lists and memo entries are keyed by the
-    Chain object itself, not by its id, so two chains that share an id
-    never share answers.
+    chain) answer; ``once`` keeps the fence-local verdicts.  Tables,
+    lists, memo entries and verdicts are keyed by the Chain object
+    itself, not by its id, so two chains that share an id never share
+    answers.  Nothing is kept beyond the projector: a caller that builds
+    a new projector computes everything again.
     """
 
     def __init__(self, poset: Poset) -> None:
@@ -94,6 +99,7 @@ class Projector:
         self._bwd: dict[tuple[Chain, int], int | None] = {}
         self._tables: dict[Chain, RankTable] = {}
         self._composed: dict[tuple[Chain, Chain], tuple[list, list, list, list]] = {}
+        self._once: dict[tuple, object] = {}
 
     def row(self, event: int) -> int:
         """The poset row of event."""
@@ -131,6 +137,19 @@ class Projector:
                 [qt.backward[r] for r in pt.rows],
             )
         return lists
+
+    def once(self, fn: Callable[..., _T], *chains: Chain) -> _T:
+        """``fn(self, *chains)``, computed once per projector.  It holds
+        the fence-local verdicts (coordination of a chain pair,
+        collinearity of a chain triple) and the integer-scaled
+        valuations of a chain, keyed by ``fn`` and the Chain objects.  A
+        call that raises is not kept."""
+        key = (fn, *chains)
+        try:
+            return self._once[key]  # type: ignore[return-value]
+        except KeyError:
+            value = self._once[key] = fn(self, *chains)
+            return value
 
     def forward(self, x: int, chain: Chain) -> int | None:
         """min{p in chain | x <= p}, or None."""

@@ -50,6 +50,18 @@ def _int_list(value, what: str) -> list[int]:
 MAX_EXPONENT = 1000
 _EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)")
 
+# A valuation is written back as "p/q", and Python refuses to turn an
+# int of more than 4,300 digits into a string.  So a valuation whose
+# numerator or denominator has more than MAX_DIGITS digits is rejected
+# at load, where the document could not be exported again.
+MAX_DIGITS = 4000
+
+
+def _too_long(n: int) -> bool:
+    n = abs(n)
+    # 2**(3 * MAX_DIGITS) < 10**MAX_DIGITS, so most values skip the power
+    return n.bit_length() > 3 * MAX_DIGITS and n >= 10**MAX_DIGITS
+
 
 def _fraction(value, chain_id: str) -> Fraction:
     if isinstance(value, str) and (match := _EXPONENT.search(value)):
@@ -60,9 +72,14 @@ def _fraction(value, chain_id: str) -> Fraction:
                 f" beyond {MAX_EXPONENT}"
             )
     try:
-        return Fraction(value)
+        result = Fraction(value)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):
         raise ValueError(f"chain {chain_id!r}: bad valuation {value!r}") from None
+    if _too_long(result.numerator) or _too_long(result.denominator):
+        raise ValueError(
+            f"chain {chain_id!r}: a valuation has more than {MAX_DIGITS} digits"
+        )
+    return result
 
 
 def poset_from_doc(doc: dict) -> tuple[Poset, dict[str, Chain]]:

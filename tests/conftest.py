@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from math import gcd
 
 import numpy as np
 import pytest
@@ -72,6 +73,51 @@ def reference_code(poset: Poset, x: int, p: Chain, q: Chain) -> str | None:
     return digits
 
 
+def scan_coordinated(
+    poset: Poset,
+    p: Chain,
+    q: Chain,
+    p_interval: tuple[int, int] | None = None,
+    q_interval: tuple[int, int] | None = None,
+) -> bool | str:
+    """Coordination of (p, q) by scan, as ``are_coordinated`` defines it:
+    True or False, or the name of the error class it raises.  Windows
+    and images are event sets, and offsets Fractions."""
+    if p.chain_id == q.chain_id:
+        return True
+
+    def window(chain, interval):
+        lo, hi = sorted((chain.index_of(interval[0]), chain.index_of(interval[1])))
+        return list(chain.elements[lo : hi + 1])
+
+    if p_interval is None:
+        wp = [e for e in p.elements if scan_forward(poset, e, q) is not None]
+        if not wp:
+            return "Unquantifiable"
+        lo = p.index_of(wp[0])
+        if list(p.elements[lo : lo + len(wp)]) != wp:
+            return False
+    else:
+        wp = window(p, p_interval)
+    images = [scan_forward(poset, e, q) for e in wp]
+    if None in images:
+        return "Unquantifiable"
+    if q_interval is None:
+        wq = window(q, (images[0], images[-1]))
+    else:
+        wq = window(q, q_interval)
+    if len({q.value(i) - p.value(e) for e, i in zip(wp, images)}) != 1:
+        return False
+    if set(images) != set(wq):
+        return False
+    back = [scan_backward(poset, e, p) for e in wq]
+    if None in back:
+        return "Unquantifiable"
+    if len({p.value(i) - q.value(e) for e, i in zip(wq, back)}) != 1:
+        return False
+    return set(back) == set(wp)
+
+
 def warshall_closure(n: int, edges: list[tuple[int, int]]) -> np.ndarray:
     """Reflexive-transitive closure as a boolean matrix."""
     m = np.eye(n, dtype=bool)
@@ -109,3 +155,50 @@ def lattice():
 @pytest.fixture(scope="session")
 def lattice_projector(lattice):
     return Projector(lattice.poset)
+
+
+def sweep_masks(config, worldlines) -> tuple[list[int], list[int]]:
+    """Up and down masks of a metric layout by a two-pointer sweep over
+    every ordered worldline pair: the order rule compared tick by tick,
+    without thresholds or templates.  Rows follow the worldlines' ticks
+    in order, as in ``build_metric_poset``."""
+    offsets = []
+    total = 0
+    for w in worldlines:
+        offsets.append(total)
+        total += len(w.tick_times)
+    full_mask = [
+        ((1 << len(w.tick_times)) - 1) << off for off, w in zip(offsets, worldlines)
+    ]
+    scale = 1
+    for w in worldlines:
+        for t in w.tick_times:
+            scale = scale * t.denominator // gcd(scale, t.denominator)
+    scaled = [[int(t * scale) for t in w.tick_times] for w in worldlines]
+
+    up = [0] * total
+    down = [0] * total
+    for wi, (off_i, w_i) in enumerate(zip(offsets, worldlines)):
+        ticks_i = scaled[wi]
+        for wj, (off_j, w_j) in enumerate(zip(offsets, worldlines)):
+            d2 = config.sq_dist(w_i.position_id, w_j.position_id)
+            # (tj - ti)^2 >= d2 becomes dt^2 * q >= r on the scaled grid
+            r = d2.numerator * scale * scale
+            q = d2.denominator
+            ticks_j = scaled[wj]
+            nj = len(ticks_j)
+            j0 = 0
+            j1 = -1
+            for i, t in enumerate(ticks_i):
+                row = off_i + i
+                while j0 < nj and (ticks_j[j0] < t or (ticks_j[j0] - t) ** 2 * q < r):
+                    j0 += 1
+                if j0 < nj:
+                    up[row] |= (full_mask[wj] >> (off_j + j0)) << (off_j + j0)
+                while j1 + 1 < nj and ticks_j[j1 + 1] <= t and (
+                    (t - ticks_j[j1 + 1]) ** 2 * q >= r
+                ):
+                    j1 += 1
+                if j1 >= 0:
+                    down[row] |= full_mask[wj] & ((1 << (off_j + j1 + 1)) - 1)
+    return up, down

@@ -77,7 +77,10 @@ def test_classify_missing_file(capsys):
     {"events": [0, 1], "covers": [],
      "chains": [{"id": "0", "events": [0], "valuations": ["1e100000"]},
                 {"id": "1", "events": [1], "valuations": ["0"]}]},
-], ids=["empty-object", "list", "short-valuations", "huge-exponent"])
+    {"events": [0, 1], "covers": [],
+     "chains": [{"id": "0", "events": [0], "valuations": ["9" * 3400 + "e1000"]},
+                {"id": "1", "events": [1], "valuations": ["0"]}]},
+], ids=["empty-object", "list", "short-valuations", "huge-exponent", "too-many-digits"])
 def test_malformed_document_exits_2(tmp_path, capsys, command, doc):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))

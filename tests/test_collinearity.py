@@ -24,7 +24,7 @@ from posetgeo.collinearity import LEGAL_CODE_STRINGS
 from posetgeo.errors import InconsistentSides, MissingProjection
 from posetgeo.poset import Chain
 
-from .conftest import reference_code
+from .conftest import reference_code, scan_backward, scan_forward
 
 
 def test_case_geography(lattice, lattice_projector):
@@ -251,3 +251,44 @@ def test_census_matches_reference_codes(layout):
     assert census(Projector(poset), pairs, events=subset).histogram == (
         _reference_census(poset, pairs, subset)
     )
+
+
+def test_chains_properly_collinear_is_symmetric_in_p_and_q(lattice, lattice_projector):
+    """An event of the window that misses a projection onto one of the
+    two chains makes the answer False, whichever chain comes first."""
+    chains = lattice.chains
+    window = chains[2].elements[1:20]
+    for p, q in ((chains[1], chains[4]), (chains[4], chains[1])):
+        assert not chains_properly_collinear(
+            lattice_projector, chains[2], p, q, events=window
+        )
+
+
+def _scan_properly_collinear(poset, x_chain, p, q, window):
+    """chains_properly_collinear by scan: every projection exists, every
+    code is a proper one, and each image is a run of the target chain."""
+    proper = {"2201", "1010", "0122"}
+    for target in (p, q):
+        image = set()
+        for e in window:
+            fwd, bwd = scan_forward(poset, e, target), scan_backward(poset, e, target)
+            if fwd is None or bwd is None:
+                return False
+            image |= {target.index_of(fwd), target.index_of(bwd)}
+        if max(image) - min(image) + 1 != len(image):
+            return False
+    return all(reference_code(poset, e, p, q) in proper for e in window)
+
+
+@pytest.mark.parametrize("layout", ["lattice", "grid"])
+def test_chains_properly_collinear_matches_scan(layout, lattice):
+    bundle = lattice if layout == "lattice" else grid_config(3, 3, 3, 4).bundle
+    pr = Projector(bundle.poset)
+    chains = bundle.chains[:5]
+    for x, p, q in permutations(chains, 3):
+        n = len(x)
+        for lo, hi in ((0, n), (1, n - 1), (n // 4, 3 * n // 4), (n // 2, n // 2 + 1)):
+            window = x.elements[lo:hi]
+            assert chains_properly_collinear(pr, x, p, q, events=window) == (
+                _scan_properly_collinear(bundle.poset, x, p, q, window)
+            ), (x.chain_id, p.chain_id, q.chain_id, lo, hi)

@@ -1,8 +1,11 @@
+import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from posetgeo import (
+    Chain,
     MetricConfig,
     Projector,
     QuantPair,
@@ -24,7 +27,10 @@ from posetgeo.errors import (
     AlignmentError,
     MixedConfiguration,
     NotAntichainLike,
+    PosetGeoError,
 )
+
+from .conftest import scan_coordinated
 
 
 def test_lattice_chains_coordinated(lattice, lattice_projector):
@@ -140,3 +146,76 @@ def test_dimension_count():
     assert dimension_count(simp_pr, simp.chains, True) == (3, 1)
     with pytest.raises(MixedConfiguration):
         dimension_count(simp_pr, simp.chains, False)
+
+
+def _coordination(pr, p, q, wp=None, wq=None):
+    try:
+        return are_coordinated(pr, p, q, wp, wq)
+    except PosetGeoError as exc:
+        return type(exc).__name__
+
+
+def _warped(bundle, chain_id):
+    """The bundle's poset and chains, with one chain valued by the square
+    of its ticks: same order, uneven valuation steps."""
+    chains = [
+        Chain(c.chain_id, c.elements, {e: v * v for e, v in c.valuation.items()})
+        if c.chain_id == chain_id
+        else c
+        for c in bundle.chains
+    ]
+    return SimpleNamespace(poset=bundle.poset, chains=chains)
+
+
+def test_uneven_valuation_is_not_coordinated():
+    """Projections between neighbouring lattice chains stay bijective, but
+    the valuation offsets differ once one chain is valued unevenly."""
+    warped = _warped(lattice_1p1(2, 12), "1")
+    pr = Projector(warped.poset)
+    a, b, c = warped.chains
+    assert are_coordinated(pr, a, c)
+    assert not are_coordinated(pr, a, b)
+    assert not are_coordinated(pr, b, c)
+
+
+def _coordination_layouts():
+    yield lattice_1p1(3, 12)
+    yield _warped(lattice_1p1(3, 12), "2")
+    config = MetricConfig.from_points({"A": (0,), "B": (1,), "C": (2,)})
+    fast = tuple(Fraction(t) for t in range(0, 13))
+    slow = tuple(Fraction(t) for t in range(0, 13, 2))
+    half = tuple(Fraction(t, 2) for t in range(1, 20))
+    yield build_metric_poset(
+        config,
+        [WorldlineSpec("A", fast), WorldlineSpec("B", slow), WorldlineSpec("C", half)],
+    )
+    planar = MetricConfig.from_points(
+        {"A": (0, 0), "B": (3, 4), "C": (8, 4), "D": (2, 1)}
+    )
+    yield build_metric_poset(
+        planar, [WorldlineSpec(n, fast + (Fraction(13), Fraction(14))) for n in "ABCD"]
+    )
+
+
+@pytest.mark.parametrize("layout", range(4))
+def test_are_coordinated_matches_scan_oracle(layout):
+    """Every ordered chain pair, with no windows and with seeded explicit
+    windows, gives the scan oracle's verdict or error class."""
+    bundle = list(_coordination_layouts())[layout]
+    pr = Projector(bundle.poset)
+    rng = random.Random(layout)
+    seen = set()
+    for p in bundle.chains:
+        for q in bundle.chains:
+            expected = scan_coordinated(bundle.poset, p, q)
+            assert _coordination(pr, p, q) == expected, (p.chain_id, q.chain_id)
+            seen.add(expected)
+            for _ in range(40):
+                wp = tuple(rng.sample(p.elements, 2))
+                wq = tuple(rng.sample(q.elements, 2))
+                for windows in ((wp, wq), (wp, None)):
+                    expected = scan_coordinated(bundle.poset, p, q, *windows)
+                    got = _coordination(pr, p, q, *windows)
+                    assert got == expected, (p.chain_id, q.chain_id, windows)
+                    seen.add(expected)
+    assert {True, False} <= seen

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -23,6 +24,10 @@ from posetgeo import (
 )
 from posetgeo.errors import (
     NonUniformSpacing,
+    NotCollinear,
+    NotCoordinated,
+    NotParallel,
+    PosetGeoError,
     SpacingMismatch,
     TimeMismatch,
 )
@@ -198,3 +203,90 @@ def test_geometric_identity(grid345):
     assert lhs == dot * dot + wedge * wedge
     # displacement (6,8), chain pair length 6: 100*36 = 36^2 + 48^2
     assert (lhs, dot, wedge) == (3600, 36, 48)
+
+
+def _planar(coords, ticks=40, **own_ticks):
+    """A metric layout of worldlines at explicit points, all on integer
+    ticks 0..ticks unless given their own."""
+    config = MetricConfig.from_points(coords)
+    shared = tuple(Fraction(t) for t in range(ticks + 1))
+    return build_metric_poset(
+        config, [WorldlineSpec(n, own_ticks.get(n, shared)) for n in coords]
+    )
+
+
+def _fence_of(bundle, names):
+    return validate_fence(Projector(bundle.poset), [bundle.chain(n) for n in names])
+
+
+def test_straight_triple_at_spacing_five_is_a_fence():
+    bundle = _planar({"A": (0, 0), "B": (3, 4), "C": (6, 8)})
+    assert _fence_of(bundle, "ABC").spacing == 5
+
+
+@pytest.mark.parametrize("coords", [
+    {"A": (0, 0), "B": (3, 4), "C": (8, 4)},
+    {"A": (0, 0), "B": (5, 0), "C": (5, 5)},
+    {"A": (0, 0), "B": (3, 4), "C": (6, 0), "D": (9, 4)},
+], ids=["bend-3-4-5", "right-angle", "zigzag-of-four"])
+def test_bent_families_are_not_collinear(coords):
+    """Every neighbour distance is 5, but the chains do not lie on a line."""
+    with pytest.raises(NotCollinear, match="not properly collinear"):
+        _fence_of(_planar(coords), list(coords))
+
+
+def test_folded_triple_has_nonuniform_spacing():
+    bundle = _planar({"A": (0, 0), "B": (5, 0), "C": (10, 0)})
+    with pytest.raises(NonUniformSpacing):
+        _fence_of(bundle, "BAC")
+
+
+def test_mismatched_tick_spacing_is_not_coordinated():
+    """B ticks every 2 while A and C tick every 1: the neighbour
+    distances agree, but A and B are not coordinated."""
+    slow = tuple(Fraction(t) for t in range(0, 41, 2))
+    bundle = _planar({"A": (0,), "B": (1,), "C": (2,)}, B=slow)
+    with pytest.raises(NotCoordinated, match="A and B"):
+        _fence_of(bundle, "ABC")
+
+
+def test_grid_with_unequal_row_spacings_is_not_parallel():
+    """Three horizontal rows whose chains sit 3, 1 and 5 apart.  Every
+    row and every column is a fence (columns at spacings 5, 3 and 5),
+    but the rows are not parallel fences."""
+    coords = {
+        f"{r},{c}": (c * (3 - 4 * r) + 4 * r, 3 * r) for r in range(3) for c in range(3)
+    }
+    bundle = _planar(coords)
+    array = [[bundle.chain(f"{r},{c}") for c in range(3)] for r in range(3)]
+    pr = Projector(bundle.poset)
+    assert [validate_fence(pr, row).spacing for row in array] == [3, 1, 5]
+    with pytest.raises(NotParallel, match="spacings differ"):
+        validate_grid(pr, array)
+
+
+def _verdict(pr, chains):
+    try:
+        fence = validate_fence(pr, chains)
+    except PosetGeoError as exc:
+        return (type(exc).__name__, str(exc))
+    return (fence.chains, fence.spacing)
+
+
+def test_reused_projector_gives_the_verdicts_of_fresh_ones():
+    """One projector across many fences (sharing pairs and triples)
+    returns the same Fence or error as a fresh projector for each."""
+    coords = {
+        "A": (0, 0), "B": (3, 4), "C": (6, 8), "D": (9, 12),
+        "E": (8, 4), "F": (6, 0), "G": (3, 0), "H": (12, 16),
+    }
+    # H continues the line A..D but ticks every 2
+    bundle = _planar(coords, H=tuple(Fraction(t) for t in range(0, 41, 2)))
+    shared = Projector(bundle.poset)
+    verdicts = set()
+    for names in [*permutations("ABCDEFGH", 3), *permutations("ABCD", 4), "ABCDH"]:
+        chains = [bundle.chain(n) for n in names]
+        got = _verdict(shared, chains)
+        assert got == _verdict(Projector(bundle.poset), chains), names
+        verdicts.add(got[0] if isinstance(got[0], str) else "Fence")
+    assert verdicts == {"Fence", "NonUniformSpacing", "NotCollinear", "NotCoordinated"}

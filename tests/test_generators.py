@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posetgeo import (
     MetricConfig,
@@ -15,6 +17,9 @@ from posetgeo import (
     sqrt_exact,
 )
 from posetgeo.errors import EmptyWorldline, InvalidMetric
+from posetgeo.verify import _grid_layouts
+
+from .conftest import sweep_masks
 
 
 def sq_dist_points(a, b):
@@ -140,3 +145,80 @@ def test_bad_params():
         grid_config(1, 3)
     with pytest.raises(ValueError):
         dotprod_config(0)
+
+
+def _worldlines(bundle):
+    return [
+        WorldlineSpec(c.chain_id, tuple(c.valuation[e] for e in c.elements))
+        for c in bundle.chains
+    ]
+
+
+def _assert_masks_match_sweep(bundle):
+    poset = bundle.poset
+    events = poset.events()
+    up, down = sweep_masks(bundle.config, _worldlines(bundle))
+    assert [poset.up_mask(e) for e in events] == up
+    assert [poset.down_mask(e) for e in events] == down
+
+
+# every metric kind of `posetgeo generate`, at its command-line defaults
+# (randomdag is not metric-built)
+@pytest.mark.parametrize("make", [
+    lambda: lattice_1p1(5, 40),
+    lambda: collinear_config(3, 1, 20),
+    lambda: simplex_config(3, 1, 20),
+    lambda: grid_config(3, 3, 3, 4).bundle,
+    lambda: pythagoras_config(3, 4).bundle,
+    lambda: dotprod_config(1).bundle,
+], ids=["lattice1p1", "collinear", "simplex", "grid", "pythagoras", "dotprod"])
+def test_masks_match_sweep_on_generate_kinds(make):
+    _assert_masks_match_sweep(make())
+
+
+def test_masks_match_sweep_on_suite_grids():
+    for rows, cols, k in _grid_layouts():
+        _assert_masks_match_sweep(grid_config(rows, cols, 3 * k, 4 * k).bundle)
+
+
+@pytest.mark.parametrize("scale", [1, 2, 3])
+def test_masks_match_sweep_on_mixed_ticks(scale):
+    """The probe worldline has one tick of its own."""
+    _assert_masks_match_sweep(dotprod_config(scale).bundle)
+
+
+_COORD = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+_TICK = st.fractions(min_value=0, max_value=10, max_denominator=4)
+_TICKS = st.lists(_TICK, min_size=1, max_size=8, unique=True).map(
+    lambda ts: tuple(sorted(ts))
+)
+_EVEN_TICKS = st.builds(
+    lambda start, step, n: tuple(start + i * step for i in range(n)),
+    _TICK,
+    st.fractions(min_value=Fraction(1, 3), max_value=2, max_denominator=3),
+    st.integers(1, 8),
+)
+
+
+@st.composite
+def _rational_layouts(draw):
+    """Two to four worldlines at rational points; each takes a shared
+    evenly spaced tick tuple, a shared uneven one, or ticks of its own."""
+    dims = draw(st.integers(1, 2))
+    names = [f"w{i}" for i in range(draw(st.integers(2, 4)))]
+    coords = {n: draw(st.tuples(*[_COORD] * dims)) for n in names}
+    even, uneven = draw(_EVEN_TICKS), draw(_TICKS)
+    worldlines = [
+        WorldlineSpec(n, draw(st.sampled_from([even, uneven]) | _TICKS))
+        for n in names
+    ]
+    return MetricConfig.from_points(coords), worldlines
+
+
+@settings(max_examples=50, deadline=None)
+@given(_rational_layouts())
+def test_masks_match_sweep_on_rational_layouts(layout):
+    config, worldlines = layout
+    bundle = build_metric_poset(config, worldlines)
+    assert list(bundle.config.positions) == [w.position_id for w in worldlines]
+    _assert_masks_match_sweep(bundle)

@@ -18,6 +18,7 @@ from posetgeo import (
     to_dot,
 )
 from posetgeo.errors import CycleViolation, UnknownEvent
+from posetgeo.serialize import MAX_DIGITS
 from posetgeo.poset import Chain
 
 
@@ -134,6 +135,24 @@ def test_valuation_strings_load(text, value):
 def test_valuation_with_a_large_exponent_is_rejected(text):
     with pytest.raises(ValueError, match="exponent"):
         poset_from_doc(_one_valuation_doc(text))
+
+
+@pytest.mark.parametrize("text", [
+    "9" * 3400 + "e1000",
+    "1/" + "7" * 4001,
+    "-" + "3" * 3001 + "e1000",
+])
+def test_valuation_with_too_many_digits_is_rejected(text):
+    """A valuation that could not be written back as "p/q" does not load."""
+    with pytest.raises(ValueError, match=f"more than {MAX_DIGITS} digits"):
+        poset_from_doc(_one_valuation_doc(text))
+
+
+def test_valuation_at_the_digit_limit_round_trips():
+    text = "9" * (MAX_DIGITS - 1000) + "e1000"
+    poset, chains = poset_from_doc(_one_valuation_doc(text))
+    doc = poset_to_doc(poset, list(chains.values()))
+    assert doc["chains"][0]["valuations"] == [str(10**MAX_DIGITS - 10**1000)]
 
 
 _JSON = st.recursive(
