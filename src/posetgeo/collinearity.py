@@ -171,10 +171,8 @@ _PROPER_CODES = frozenset(
 )
 
 
-def _side_of_code(code: str) -> SideClass:
-    """The side class of a code string, as :func:`side_of` gives it."""
-    case = _LEGAL_CODES.get(_CODE_DIGITS[code], CollinearityCase.NOT_COLLINEAR)
-    return _SIDES.get(case, SideClass.NONE)
+# the code of Case II, the one proper case whose side is BETWEEN
+_BETWEEN_CODE = "1010"
 
 
 def side_of(pr: Projector, x: int, p: Chain, q: Chain) -> SideClass:

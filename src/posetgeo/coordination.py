@@ -92,19 +92,19 @@ def are_coordinated(
     else:
         qlo, qhi = _span(q, q_interval)
 
+    if set(images) != set(range(qlo, qhi + 1)):
+        return False
+    # each y of the Q run is the image of some x <= y, so back has no None
+    back = back_of[qlo : qhi + 1]
+    if set(back) != set(range(lo, hi + 1)):
+        return False
+    # both maps are now monotone bijections between runs of one length,
+    # so back inverts the forward map and one offset set covers both
     vp, lp = pr.once(_scaled_values, p)
     vq, lq = pr.once(_scaled_values, q)
-    # v_q - v_p, scaled by lp * lq, is one integer for every pair
-    offsets = {vq[j] * lp - vp[i] * lq for i, j in enumerate(images, lo)}
-    if len(offsets) != 1 or set(images) != set(range(qlo, qhi + 1)):
-        return False
-
-    back = back_of[qlo : qhi + 1]
-    if None in back:
-        e = q.elements[qlo + back.index(None)]
-        raise Unquantifiable(f"backward projection of {e} leaves {p.chain_id}")
-    back_offsets = {vp[i] * lq - vq[j] * lp for j, i in enumerate(back, qlo)}
-    return len(back_offsets) == 1 and set(back) == set(range(lo, hi + 1))
+    # v_p - v_q, scaled by lp * lq, is one integer for every pair
+    offsets = {vp[i] * lq - vq[j] * lp for j, i in enumerate(back, qlo)}
+    return len(offsets) == 1
 
 
 def check_orthogonal_subspaces(

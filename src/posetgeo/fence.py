@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .collinearity import SideClass, _side_of_code, _window_codes
+from .collinearity import _BETWEEN_CODE, _window_codes
 from .coordination import are_coordinated
 from .errors import (
     MissingProjection,
@@ -102,7 +102,7 @@ def _triple_fault(pr: Projector, left: Chain, mid: Chain, right: Chain) -> str |
             f"{mid.chain_id} is not properly collinear with "
             f"{left.chain_id} and {right.chain_id}"
         )
-    if _side_of_code(codes[len(codes) // 2]) is not SideClass.BETWEEN:
+    if codes[len(codes) // 2] != _BETWEEN_CODE:
         return (
             f"{mid.chain_id} does not lie between {left.chain_id} "
             f"and {right.chain_id}"

@@ -51,12 +51,8 @@ class WorldlineSpec:
     tick_times: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        ticks = self.tick_times
-        # a tuple of Fractions is kept as it is, so worldlines built from
-        # one tick tuple share it
-        if type(ticks) is not tuple or any(type(t) is not Fraction for t in ticks):
-            ticks = tuple(Fraction(t) for t in ticks)
-            object.__setattr__(self, "tick_times", ticks)
+        ticks = tuple(Fraction(t) for t in self.tick_times)
+        object.__setattr__(self, "tick_times", ticks)
         if not ticks:
             raise EmptyWorldline(f"worldline {self.position_id} has no ticks")
         if any(a >= b for a, b in zip(ticks, ticks[1:])):
@@ -131,7 +127,7 @@ class MetricPoset:
         poset: Poset,
         chains: list[Chain],
         config: MetricConfig,
-        event_index: dict[str, tuple[int, dict[Fraction, int]]],
+        event_index: dict[tuple[str, Fraction], int],
     ) -> None:
         self.poset = poset
         self.chains = chains
@@ -146,9 +142,7 @@ class MetricPoset:
             raise UnknownChain(f"no chain {position_id!r}") from None
 
     def event(self, position_id: str, tick: Rational) -> int:
-        # a worldline's first row, and the index of each of its ticks
-        first, index = self._event_index[position_id]
-        return first + index[Fraction(tick)]
+        return self._event_index[(position_id, Fraction(tick))]
 
     def sq_dist_chains(self, a: str, b: str) -> Fraction:
         return self.config.sq_dist(a, b)
@@ -205,23 +199,17 @@ def build_metric_poset(
             raise EmptyWorldline(w.position_id)
 
     # scale every tick to a shared integer grid so the causal-rule
-    # comparisons run on plain ints instead of Fractions; a tick tuple
-    # that several worldlines share is scaled once
-    distinct = {id(w.tick_times): w.tick_times for w in worldlines}
+    # comparisons run on plain ints instead of Fractions
     scale = 1
-    for ticks in distinct.values():
-        for t in ticks:
+    for w in worldlines:
+        for t in w.tick_times:
             scale = scale * t.denominator // math.gcd(scale, t.denominator)
-    scaled_of = {
-        key: tuple(t.numerator * (scale // t.denominator) for t in ticks)
-        for key, ticks in distinct.items()
-    }
     groups: dict[tuple[int, ...], list[int]] = {}
     scaled = []
     offsets = []
     total = 0
     for wi, w in enumerate(worldlines):
-        ticks = scaled_of[id(w.tick_times)]
+        ticks = tuple(t.numerator * (scale // t.denominator) for t in w.tick_times)
         scaled.append(ticks)
         groups.setdefault(ticks, []).append(wi)
         offsets.append(total)
@@ -274,18 +262,14 @@ def build_metric_poset(
 
     poset = Poset._from_masks(range(total), up, down)
 
-    # WorldlineSpec has checked each tick tuple, and a tuple's tick index
-    # is built once however many worldlines share it
-    tick_index = {
-        key: {t: i for i, t in enumerate(ticks)} for key, ticks in distinct.items()
-    }
     chains = []
-    event_index = {}
+    event_index: dict[tuple[str, Fraction], int] = {}
     for off, w in zip(offsets, worldlines):
-        elements = range(off, off + len(w.tick_times))
+        elements = list(range(off, off + len(w.tick_times)))
         valuation = dict(zip(elements, w.tick_times))
-        chains.append(Chain._from_checked(w.position_id, elements, valuation))
-        event_index[w.position_id] = (off, tick_index[id(w.tick_times)])
+        chains.append(Chain(w.position_id, elements, valuation))
+        for e, t in valuation.items():
+            event_index[(w.position_id, t)] = e
     return MetricPoset(poset, chains, config, event_index)
 
 

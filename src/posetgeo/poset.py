@@ -156,32 +156,15 @@ class Chain:
         elements: Sequence[int],
         valuation: dict[int, Fraction],
     ) -> None:
-        self._assign(chain_id, elements, {e: Fraction(v) for e, v in valuation.items()})
+        self.chain_id = chain_id
+        self.elements = tuple(elements)
+        self.valuation = {e: Fraction(v) for e, v in valuation.items()}
+        self._pos = {e: i for i, e in enumerate(self.elements)}
         if len(self._pos) != len(self.elements):
             raise ValueError(f"chain {chain_id} repeats an event")
         vals = [self.valuation[e] for e in self.elements]
         if any(a >= b for a, b in zip(vals, vals[1:])):
             raise ValueError(f"valuation of chain {chain_id} not strictly monotone")
-
-    @classmethod
-    def _from_checked(
-        cls, chain_id: str, elements: Sequence[int], valuation: dict[int, Fraction]
-    ) -> "Chain":
-        """Bulk constructor from distinct elements and a valuation of
-        Fractions already strictly increasing along them.  Checks
-        nothing: ``build_metric_poset`` passes ticks that WorldlineSpec
-        has checked."""
-        chain = cls.__new__(cls)
-        chain._assign(chain_id, elements, valuation)
-        return chain
-
-    def _assign(
-        self, chain_id: str, elements: Sequence[int], valuation: dict[int, Fraction]
-    ) -> None:
-        self.chain_id = chain_id
-        self.elements = tuple(elements)
-        self.valuation = valuation
-        self._pos = {e: i for i, e in enumerate(self.elements)}
 
     @classmethod
     def build(
