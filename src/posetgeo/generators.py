@@ -35,23 +35,20 @@ def sqrt_exact(value: Fraction) -> Fraction | None:
     return None
 
 
-def _sqrt_leq_sum(a: Fraction, b: Fraction, c: Fraction) -> bool:
-    """sqrt(a) <= sqrt(b) + sqrt(c), decided exactly on the squares."""
-    gap = a - b - c
-    if gap <= 0:
-        return True
-    return gap * gap <= 4 * b * c
-
-
 @dataclass(frozen=True)
 class WorldlineSpec:
-    """A position plus the strictly increasing tick times of its events."""
+    """A position plus the strictly increasing tick times of its events.
+
+    A tick that is already a ``Fraction`` is kept as given; any other
+    value is converted with ``Fraction``."""
 
     position_id: str
     tick_times: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        ticks = tuple(Fraction(t) for t in self.tick_times)
+        ticks = tuple(
+            t if isinstance(t, Fraction) else Fraction(t) for t in self.tick_times
+        )
         object.__setattr__(self, "tick_times", ticks)
         if not ticks:
             raise EmptyWorldline(f"worldline {self.position_id} has no ticks")
@@ -101,19 +98,22 @@ class MetricConfig:
         return self._sq[frozenset((a, b))]
 
     def _check_triangle(self) -> None:
+        """Each unordered triple once: with its squared sides x <= y <= z
+        scaled to integers over one denominator, sqrt(z) <= sqrt(x) +
+        sqrt(y) reads gap = z - x - y <= 0 or gap^2 <= 4xy."""
         ps = self.positions
-        for i, a in enumerate(ps):
-            for j, b in enumerate(ps):
-                if j == i:
-                    continue
-                for c in ps[j + 1 :]:
-                    if c == a:
-                        continue
-                    if not _sqrt_leq_sum(
-                        self.sq_dist(a, c), self.sq_dist(a, b), self.sq_dist(b, c)
-                    ):
+        sq = [[self.sq_dist(a, b) for b in ps] for a in ps]
+        scale = math.lcm(*(d2.denominator for row in sq for d2 in row))
+        sq = [[d2.numerator * (scale // d2.denominator) for d2 in row] for row in sq]
+        n = len(ps)
+        for i in range(n):
+            for j in range(i + 1, n):
+                for k in range(j + 1, n):
+                    x, y, z = sorted((sq[i][j], sq[i][k], sq[j][k]))
+                    gap = z - x - y
+                    if gap > 0 and gap * gap > 4 * x * y:
                         raise InvalidMetric(
-                            f"triangle inequality fails for ({a},{b},{c})"
+                            f"triangle inequality fails for ({ps[i]},{ps[j]},{ps[k]})"
                         )
 
 
@@ -127,13 +127,13 @@ class MetricPoset:
         poset: Poset,
         chains: list[Chain],
         config: MetricConfig,
-        event_index: dict[tuple[str, Fraction], int],
+        ticks: Sequence[tuple[Fraction, ...]],
     ) -> None:
         self.poset = poset
         self.chains = chains
         self.config = config
-        self._event_index = event_index
         self._by_id = {c.chain_id: c for c in chains}
+        self._ticks = {c.chain_id: t for c, t in zip(chains, ticks)}
 
     def chain(self, position_id: str) -> Chain:
         try:
@@ -142,7 +142,14 @@ class MetricPoset:
             raise UnknownChain(f"no chain {position_id!r}") from None
 
     def event(self, position_id: str, tick: Rational) -> int:
-        return self._event_index[(position_id, Fraction(tick))]
+        """The event at tick on the worldline of position_id, found by
+        bisection over its increasing ticks; KeyError when there is none."""
+        tick = Fraction(tick)
+        ticks = self._ticks.get(position_id, ())
+        i = bisect.bisect_left(ticks, tick)
+        if i < len(ticks) and ticks[i] == tick:
+            return self._by_id[position_id].elements[i]
+        raise KeyError((position_id, tick))
 
     def sq_dist_chains(self, a: str, b: str) -> Fraction:
         return self.config.sq_dist(a, b)
@@ -263,14 +270,10 @@ def build_metric_poset(
     poset = Poset._from_masks(range(total), up, down)
 
     chains = []
-    event_index: dict[tuple[str, Fraction], int] = {}
     for off, w in zip(offsets, worldlines):
-        elements = list(range(off, off + len(w.tick_times)))
-        valuation = dict(zip(elements, w.tick_times))
-        chains.append(Chain(w.position_id, elements, valuation))
-        for e, t in valuation.items():
-            event_index[(w.position_id, t)] = e
-    return MetricPoset(poset, chains, config, event_index)
+        elements = range(off, off + len(w.tick_times))
+        chains.append(Chain(w.position_id, elements, dict(zip(elements, w.tick_times))))
+    return MetricPoset(poset, chains, config, [w.tick_times for w in worldlines])
 
 
 def _integer_ticks(ticks: int) -> tuple[Fraction, ...]:

@@ -148,7 +148,8 @@ class Poset:
 
 class Chain:
     """A totally ordered sequence of events with a strictly monotone
-    exact-rational valuation."""
+    exact-rational valuation.  A valuation that is already a ``Fraction``
+    is kept as given; any other value is converted with ``Fraction``."""
 
     def __init__(
         self,
@@ -158,7 +159,10 @@ class Chain:
     ) -> None:
         self.chain_id = chain_id
         self.elements = tuple(elements)
-        self.valuation = {e: Fraction(v) for e, v in valuation.items()}
+        self.valuation = {
+            e: v if isinstance(v, Fraction) else Fraction(v)
+            for e, v in valuation.items()
+        }
         self._pos = {e: i for i, e in enumerate(self.elements)}
         if len(self._pos) != len(self.elements):
             raise ValueError(f"chain {chain_id} repeats an event")

@@ -250,10 +250,10 @@ def suite_parallel(trials: int = 1000, seed: int = 0, width: int = 20) -> RunRep
         failures == 0,
     )
 
-    replay_ok = all(
-        fence_projection_replay(pr, chains[lo : hi + 1])
-        for (lo, hi) in sorted(fences)
-    )
+    # a fence replays iff each of its consecutive triples does, and the
+    # fences share their triples, so each distinct triple is replayed once
+    triples = sorted({i for lo, hi in fences for i in range(lo, hi - 1)})
+    replay_ok = all(fence_projection_replay(pr, chains[i : i + 3]) for i in triples)
     report.add(
         "projection-replay",
         {"fences": len(fences)},

@@ -1,7 +1,8 @@
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from posetgeo import (
@@ -79,6 +80,83 @@ def test_triangle_inequality_enforced():
             {("A", "B"): Fraction(1), ("B", "C"): Fraction(1),
              ("A", "C"): Fraction(100)},
         )
+
+
+@pytest.mark.parametrize("order", list(permutations("ABC")), ids="".join)
+@pytest.mark.parametrize("long_side", list(combinations("ABC", 2)), ids="".join)
+def test_triangle_long_side_rejected_in_every_place(long_side, order):
+    """Whichever pair holds the long side, in whatever position order."""
+    sq = {pair: 1 for pair in combinations("ABC", 2)}
+    sq[long_side] = 100
+    with pytest.raises(InvalidMetric):
+        MetricConfig(list(order), sq)
+
+
+def _violates_triangle(sq):
+    """Oracle: some ordered triple (a, b, c) of distinct positions has
+    sqrt(sq[a][c]) > sqrt(sq[a][b]) + sqrt(sq[b][c]).  Squaring twice:
+    z > x + y + 2 sqrt(xy) iff z - x - y > 0 and (z - x - y)^2 > 4xy."""
+    for a, b, c in permutations(range(len(sq)), 3):
+        x, y, z = sq[a][b], sq[b][c], sq[a][c]
+        if z - x - y > 0 and (z - x - y) ** 2 > 4 * x * y:
+            return True
+    return False
+
+
+def _heron_negative(sq):
+    """Second oracle: three lengths with squares x, y, z form a triangle
+    iff 16 area^2 = 2(xy + yz + zx) - x^2 - y^2 - z^2 >= 0 (Heron)."""
+    for a, b, c in combinations(range(len(sq)), 3):
+        x, y, z = sq[a][b], sq[b][c], sq[a][c]
+        if 2 * (x * y + y * z + z * x) - x * x - y * y - z * z < 0:
+            return True
+    return False
+
+
+_SQ = st.fractions(min_value=0, max_value=12, max_denominator=4)
+
+
+@st.composite
+def _sq_tables(draw):
+    """3-6 positions, squared distances either from rational points
+    (a metric, often with collinear triples on the boundary), from the
+    points with one entry nudged, or drawn at random."""
+    n = draw(st.integers(3, 6))
+    kind = draw(st.sampled_from(["points", "nudged", "random"]))
+    if kind == "random":
+        vals = {(i, j): draw(_SQ) for i, j in combinations(range(n), 2)}
+    else:
+        dims = draw(st.integers(1, 2))
+        pts = [draw(st.tuples(*[st.integers(-3, 3)] * dims)) for _ in range(n)]
+        vals = {
+            (i, j): Fraction(sum((u - v) ** 2 for u, v in zip(pts[i], pts[j])))
+            for i, j in combinations(range(n), 2)
+        }
+        if kind == "nudged":
+            pair = draw(st.sampled_from(sorted(vals)))
+            delta = draw(st.fractions(min_value=-2, max_value=2, max_denominator=4))
+            vals[pair] = max(Fraction(0), vals[pair] + delta)
+    return n, vals
+
+
+@settings(max_examples=80, deadline=None)
+@given(_sq_tables())
+@example((3, {(0, 1): Fraction(100), (0, 2): Fraction(1), (1, 2): Fraction(1)}))
+@example((3, {(0, 1): Fraction(1), (0, 2): Fraction(4), (1, 2): Fraction(1)}))
+def test_triangle_check_matches_oracle(table):
+    n, vals = table
+    sq = [[Fraction(0)] * n for _ in range(n)]
+    for (i, j), v in vals.items():
+        sq[i][j] = sq[j][i] = v
+    expected = _violates_triangle(sq)
+    assert expected == _heron_negative(sq)
+    names = [f"p{i}" for i in range(n)]
+    by_name = {(names[i], names[j]): v for (i, j), v in vals.items()}
+    if expected:
+        with pytest.raises(InvalidMetric):
+            MetricConfig(names, by_name)
+    else:
+        MetricConfig(names, by_name)
 
 
 def test_empty_worldline_rejected():
@@ -222,3 +300,34 @@ def test_masks_match_sweep_on_rational_layouts(layout):
     bundle = build_metric_poset(config, worldlines)
     assert list(bundle.config.positions) == [w.position_id for w in worldlines]
     _assert_masks_match_sweep(bundle)
+
+
+_EVENT_CASES = [
+    pytest.param(lambda r=rows, c=cols, k=k: grid_config(r, c, 3 * k, 4 * k).bundle,
+                 id=f"grid{rows}x{cols}k{k}")
+    for rows, cols, k in _grid_layouts()
+] + [
+    pytest.param(lambda s=scale: dotprod_config(s).bundle, id=f"dotprod{scale}")
+    for scale in (1, 2, 3)
+]
+
+
+@pytest.mark.parametrize("make", _EVENT_CASES)
+def test_event_lookup(make):
+    """Every (position, tick) finds its event, by int or Fraction tick;
+    a tick between two ticks, past either end or at an unknown position
+    raises KeyError."""
+    bundle = make()
+    for chain in bundle.chains:
+        ticks = [chain.value(e) for e in chain.elements]
+        for e, t in zip(chain.elements, ticks):
+            assert bundle.event(chain.chain_id, t) == e
+            if t.denominator == 1:
+                assert bundle.event(chain.chain_id, int(t)) == e
+        missing = [ticks[0] - 1, ticks[-1] + 1]
+        missing += [(a + b) / 2 for a, b in zip(ticks, ticks[1:])]
+        for t in missing:
+            with pytest.raises(KeyError):
+                bundle.event(chain.chain_id, t)
+    with pytest.raises(KeyError):
+        bundle.event("nowhere", ticks[0])
