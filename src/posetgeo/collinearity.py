@@ -21,7 +21,6 @@ import enum
 import io
 from collections import Counter
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable, Sequence
 
 from .errors import InconsistentSides, MissingProjection
@@ -46,40 +45,42 @@ class SideClass(enum.Enum):
 
 
 _LEGAL_CODES = {
-    (2, 2, 0, 1): CollinearityCase.CASE_I,
-    (1, 0, 1, 0): CollinearityCase.CASE_II,
-    (0, 1, 2, 2): CollinearityCase.CASE_III,
-    (0, 2, 2, 1): CollinearityCase.CASE_IV,
-    (2, 1, 0, 2): CollinearityCase.CASE_V,
+    "2201": CollinearityCase.CASE_I,
+    "1010": CollinearityCase.CASE_II,
+    "0122": CollinearityCase.CASE_III,
+    "0221": CollinearityCase.CASE_IV,
+    "2102": CollinearityCase.CASE_V,
 }
 
-LEGAL_CODE_STRINGS = frozenset("".join(map(str, c)) for c in _LEGAL_CODES)
+LEGAL_CODE_STRINGS = frozenset(_LEGAL_CODES)
 
 
 @dataclass(frozen=True)
 class ProjCode:
-    """Four digits for (Px, P'x, Qx, Q'x); a digit is None when no
-    candidate identity holds, or when more than one does (ambiguous
-    boundary configurations, e.g. events lying on a chain)."""
+    """The code string of (Px, P'x, Qx, Q'x): one character per
+    projection, its digit, or "u" when no candidate identity holds or
+    more than one does (ambiguous boundary configurations, e.g. events
+    lying on a chain)."""
 
-    digits: tuple[int | None, int | None, int | None, int | None]
+    code: str
+
+    @property
+    def digits(self) -> tuple[int | None, ...]:
+        """The four digits, None for each "u"."""
+        return tuple(None if c == "u" else int(c) for c in self.code)
 
     @property
     def fully_defined(self) -> bool:
-        return all(d is not None for d in self.digits)
+        return "u" not in self.code
 
     def __str__(self) -> str:
-        return "".join("u" if d is None else str(d) for d in self.digits)
+        return self.code
 
 
 # The digit of a target among its three candidates c0, c1, c2, indexed
 # by (c0 == t) + 2 * (c1 == t) + 4 * (c2 == t): the column of the one
 # candidate that equals the target, "u" when none or several do.
 _DIGIT = "u01u2uuu"
-# Every code string, mapped to its ProjCode digits.
-_CODE_DIGITS = dict(
-    zip(map("".join, product("012u", repeat=4)), product((0, 1, 2, None), repeat=4))
-)
 
 
 def _codes(
@@ -136,14 +137,14 @@ def projection_code(pr: Projector, x: int, p: Chain, q: Chain) -> ProjCode:
         missing = [name for name, i in zip(names, base) if i is None]
         raise MissingProjection(f"projections {missing} of event {x} undefined")
     (code,) = _codes(pr, p, q, (base,))
-    return ProjCode(_CODE_DIGITS[code])
+    return ProjCode(code)
 
 
 def classify_collinearity(
     pr: Projector, x: int, p: Chain, q: Chain
 ) -> CollinearityCase:
     code = projection_code(pr, x, p, q)
-    return _LEGAL_CODES.get(code.digits, CollinearityCase.NOT_COLLINEAR)
+    return _LEGAL_CODES.get(code.code, CollinearityCase.NOT_COLLINEAR)
 
 
 _PROPER = {
@@ -164,11 +165,7 @@ _SIDES = {
     CollinearityCase.CASE_III: SideClass.Q_SIDE,
 }
 
-_PROPER_CODES = frozenset(
-    "".join(map(str, digits))
-    for digits, case in _LEGAL_CODES.items()
-    if case in _PROPER
-)
+_PROPER_CODES = frozenset(c for c, case in _LEGAL_CODES.items() if case in _PROPER)
 
 
 # the code of Case II, the one proper case whose side is BETWEEN

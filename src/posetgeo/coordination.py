@@ -8,11 +8,12 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
+from .collinearity import SideClass, side_of
 from .errors import (
     AlignmentError,
-    MissingProjection,
     MixedConfiguration,
     NotAntichainLike,
+    NotBetween,
     Unquantifiable,
 )
 from .generators import PythagorasConfig, sqrt_exact
@@ -21,9 +22,9 @@ from .projection import (
     IntervalClass,
     Projector,
     QuantPair,
+    _require,
     classify_interval,
     interval_scalar,
-    quantify_interval_two_chains,
 )
 
 
@@ -38,9 +39,7 @@ def _scaled_values(pr: Projector, chain: Chain) -> tuple[list[int], int]:
     common denominator, and that denominator.  Kept per projector
     through ``pr.once``."""
     values = [chain.valuation[e] for e in chain.elements]
-    lcm = 1
-    for v in values:
-        lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
+    lcm = math.lcm(*(v.denominator for v in values))
     return [v.numerator * (lcm // v.denominator) for v in values], lcm
 
 
@@ -107,6 +106,39 @@ def are_coordinated(
     return len(offsets) == 1
 
 
+def quantify_interval_two_chains(
+    pr: Projector,
+    x: int,
+    y: int,
+    p: Chain,
+    q: Chain,
+    check_between: bool = True,
+) -> QuantPair:
+    """Quantify [x, y] against a coordinated chain pair (forward
+    projections onto each chain).
+
+    Both endpoints must lie between the chains, endpoints on P or Q
+    included.  Coordination of (p, q) is the caller's precondition.
+    """
+    if check_between:
+        for e in (x, y):
+            if e in p or e in q:
+                continue
+            if side_of(pr, e, p, q) is not SideClass.BETWEEN:
+                raise NotBetween(
+                    f"event {e} is not between {p.chain_id} and {q.chain_id}"
+                )
+    px = _require(pr.forward(x, p), f"forward projection of {x}")
+    py = _require(pr.forward(y, p), f"forward projection of {y}")
+    qx = _require(pr.forward(x, q), f"forward projection of {x}")
+    qy = _require(pr.forward(y, q), f"forward projection of {y}")
+    return QuantPair(
+        p.value(py) - p.value(px),
+        q.value(qy) - q.value(qx),
+        (p.chain_id, q.chain_id),
+    )
+
+
 def check_orthogonal_subspaces(
     pr: Projector,
     p_chain: Chain,
@@ -125,16 +157,14 @@ def check_orthogonal_subspaces(
         raise ValueError("p must lie on P and q on Q")
 
     def fwd(x: int, c: Chain) -> int:
-        r = pr.forward(x, c)
-        if r is None:
-            raise MissingProjection(f"forward projection of {x} onto {c.chain_id}")
-        return r
+        return _require(
+            pr.forward(x, c), f"forward projection of {x} onto {c.chain_id}"
+        )
 
     def bwd(x: int, c: Chain) -> int:
-        r = pr.backward(x, c)
-        if r is None:
-            raise MissingProjection(f"backward projection of {x} onto {c.chain_id}")
-        return r
+        return _require(
+            pr.backward(x, c), f"backward projection of {x} onto {c.chain_id}"
+        )
 
     delta = p_chain.value(fwd(q, p_chain)) - p_chain.value(p)
     anti = q_chain.value(q) - q_chain.value(fwd(p, q_chain))
@@ -216,29 +246,13 @@ class SimplexMode(enum.Enum):
 
 def _aligned_interior_ticks(pr: Projector, chains: Sequence[Chain]) -> list[Fraction]:
     """Ticks present on every chain whose events project onto every
-    other chain in both directions."""
-    common = set(chains[0].valuation.values())
-    for c in chains[1:]:
-        common &= set(c.valuation.values())
-    by_tick = []
+    other chain in both directions, in order."""
+    events = pr.poset.events()
+    ticks = []
     for c in chains:
-        by_tick.append({v: e for e, v in c.valuation.items()})
-    good = []
-    for t in sorted(common):
-        ok = True
-        for i, c in enumerate(chains):
-            e = by_tick[i][t]
-            for other in chains:
-                if other is c:
-                    continue
-                if pr.forward(e, other) is None or pr.backward(e, other) is None:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            good.append(t)
-    return good
+        others = [o for o in chains if o is not c]
+        ticks.append({c.value(events[r]) for r in pr.interior(c, others)})
+    return sorted(set.intersection(*ticks))
 
 
 def simplex_table(

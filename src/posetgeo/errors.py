@@ -23,11 +23,11 @@ class CycleViolation(PosetGeoError):
 
 
 class Unquantifiable(PosetGeoError):
-    """A required projection does not exist."""
+    """The projections that exist do not quantify what was asked."""
 
 
-class MissingProjection(PosetGeoError):
-    pass
+class MissingProjection(Unquantifiable):
+    """A projection the operation needs does not exist."""
 
 
 class NotBetween(PosetGeoError):

@@ -19,7 +19,6 @@ from typing import Sequence
 from .collinearity import _BETWEEN_CODE, _window_codes
 from .coordination import are_coordinated
 from .errors import (
-    MissingProjection,
     NonUniformSpacing,
     NotCollinear,
     NotCoordinated,
@@ -30,27 +29,14 @@ from .errors import (
 )
 from .generators import MetricPoset
 from .poset import Chain
-from .projection import Projector
+from .projection import Projector, quantify_event, sym_antisym_decompose
 
 
 def event_chain_distance_sq(pr: Projector, x: int, chain: Chain) -> Fraction:
     """Squared distance from an event to a chain, from the antisymmetric
     part of the event's quantification against that chain."""
-    f = pr.forward(x, chain)
-    b = pr.backward(x, chain)
-    if f is None or b is None:
-        raise MissingProjection(f"event {x} does not project onto {chain.chain_id}")
-    half = (chain.value(f) - chain.value(b)) / 2
-    return half * half
-
-
-def _event_chain_time(pr: Projector, x: int, chain: Chain) -> Fraction:
-    """Symmetric component of the event's quantification against the chain."""
-    f = pr.forward(x, chain)
-    b = pr.backward(x, chain)
-    if f is None or b is None:
-        raise MissingProjection(f"event {x} does not project onto {chain.chain_id}")
-    return (chain.value(f) + chain.value(b)) / 2
+    _, anti = sym_antisym_decompose(quantify_event(pr, x, chain))
+    return anti.first * anti.first
 
 
 def chain_pair_distance(pr: Projector, p: Chain, q: Chain) -> Fraction:
@@ -78,22 +64,11 @@ class Fence:
         return len(self.chains)
 
 
-def _interior_window(pr: Projector, chain: Chain, others: Sequence[Chain]) -> list[int]:
-    """The poset rows of the chain's events that project both ways onto
-    every chain of others."""
-    tables = [pr.table(o) for o in others]
-    return [
-        r
-        for r in pr.table(chain).rows
-        if all(t.forward[r] is not None and t.backward[r] is not None for t in tables)
-    ]
-
-
 def _triple_fault(pr: Projector, left: Chain, mid: Chain, right: Chain) -> str | None:
     """Why the fence triple (left, mid, right) fails, or None: mid's
     interior window must be properly collinear with its neighbours, and
     its middle event between them.  The window is classified once."""
-    window = _interior_window(pr, mid, (left, right))
+    window = pr.interior(mid, (left, right))
     if not window:
         return f"{mid.chain_id} has no events projecting through both neighbours"
     codes = _window_codes(pr, mid, left, right, window)
@@ -216,8 +191,8 @@ def dot_product(
         raise ValueError("need two distinct fence chains")
     p, q = fence.chains[i], fence.chains[j]
     for c in (p, q):
-        tx = _event_chain_time(pr, x, c)
-        ty = _event_chain_time(pr, y, c)
+        tx = sym_antisym_decompose(quantify_event(pr, x, c))[0].first
+        ty = sym_antisym_decompose(quantify_event(pr, y, c))[0].first
         if tx != ty:
             raise TimeMismatch(
                 f"events {x} and {y} differ in time against {c.chain_id}: "
@@ -275,13 +250,8 @@ def validate_grid(pr: Projector, chain_array: Sequence[Sequence[Chain]]) -> Grid
             raise NotParallel(f"fence spacings differ across the family: {spacings}")
         base = fences[0]
         for other in fences[1:]:
-            try:
-                if not parallel_postulate_check(pr, base, other):
-                    raise NotParallel(
-                        "fences share chains but disagree on their ordering"
-                    )
-            except SpacingMismatch as exc:  # pragma: no cover - guarded above
-                raise NotParallel(str(exc)) from exc
+            if not parallel_postulate_check(pr, base, other):
+                raise NotParallel("fences share chains but disagree on their ordering")
     return Grid(
         chain_array=tuple(tuple(row) for row in chain_array),
         row_fences=rows,

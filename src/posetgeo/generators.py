@@ -207,10 +207,7 @@ def build_metric_poset(
 
     # scale every tick to a shared integer grid so the causal-rule
     # comparisons run on plain ints instead of Fractions
-    scale = 1
-    for w in worldlines:
-        for t in w.tick_times:
-            scale = scale * t.denominator // math.gcd(scale, t.denominator)
+    scale = math.lcm(*(t.denominator for w in worldlines for t in w.tick_times))
     groups: dict[tuple[int, ...], list[int]] = {}
     scaled = []
     offsets = []

@@ -9,7 +9,7 @@ has chain index ``len(elems) - popcount(up[x] & mask)`` and the backward
 projection ``popcount(down[x] & mask) - 1``; a popcount of 0 means the
 projection does not exist.  :class:`Projector` computes both indices for
 every poset row at once, in one :class:`RankTable` per chain, and
-memoises each (event, chain) answer of ``forward``/``backward``.
+``forward``/``backward`` read them from there.
 
 The Projector is the one context of every geometry function in this
 package: each takes ``pr`` first and reads the poset as ``pr.poset``.
@@ -20,9 +20,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, TypeVar
+from typing import Callable, Iterable, TypeVar
 
-from .errors import NotBetween, UnknownEvent, Unquantifiable
+from .errors import MissingProjection, UnknownEvent
 from .poset import Chain, Poset
 
 _T = TypeVar("_T")
@@ -80,13 +80,12 @@ class Projector:
     """Projection engine over an immutable poset.
 
     It builds one :class:`RankTable` per chain on first use, and the
-    composed index lists of each ordered chain pair.  ``forward``
-    and ``backward`` answer from the table and memoise each (event,
-    chain) answer; ``once`` keeps the fence-local verdicts.  Tables,
-    lists, memo entries and verdicts are keyed by the Chain object
-    itself, not by its id, so two chains that share an id never share
-    answers.  Nothing is kept beyond the projector: a caller that builds
-    a new projector computes everything again.
+    composed index lists of each ordered chain pair.  ``forward``,
+    ``backward`` and ``interior`` answer from the tables; ``once`` keeps
+    the fence-local verdicts.  Tables, lists and verdicts are keyed by
+    the Chain object itself, not by its id, so two chains that share an
+    id never share answers.  Nothing is kept beyond the projector: a
+    caller that builds a new projector computes everything again.
     """
 
     def __init__(self, poset: Poset) -> None:
@@ -95,8 +94,6 @@ class Projector:
         self._rows = {e: i for i, e in enumerate(ids)}
         self._up = list(map(poset.up_mask, ids))
         self._down = list(map(poset.down_mask, ids))
-        self._fwd: dict[tuple[Chain, int], int | None] = {}
-        self._bwd: dict[tuple[Chain, int], int | None] = {}
         self._tables: dict[Chain, RankTable] = {}
         self._composed: dict[tuple[Chain, Chain], tuple[list, list, list, list]] = {}
         self._once: dict[tuple, object] = {}
@@ -153,35 +150,34 @@ class Projector:
 
     def forward(self, x: int, chain: Chain) -> int | None:
         """min{p in chain | x <= p}, or None."""
-        key = (chain, x)
-        try:
-            return self._fwd[key]
-        except KeyError:
-            pass
         i = self.table(chain).forward[self.row(x)]
-        result = self._fwd[key] = None if i is None else chain.elements[i]
-        return result
+        return None if i is None else chain.elements[i]
 
     def backward(self, x: int, chain: Chain) -> int | None:
         """max{p in chain | p <= x}, or None."""
-        key = (chain, x)
-        try:
-            return self._bwd[key]
-        except KeyError:
-            pass
         i = self.table(chain).backward[self.row(x)]
-        result = self._bwd[key] = None if i is None else chain.elements[i]
-        return result
+        return None if i is None else chain.elements[i]
+
+    def interior(self, chain: Chain, others: Iterable[Chain]) -> list[int]:
+        """The poset rows of the chain's events, in chain order, that
+        project both ways onto every chain of others."""
+        rows = self.table(chain).rows
+        for table in map(self.table, others):
+            f, b = table.forward, table.backward
+            rows = [r for r in rows if f[r] is not None and b[r] is not None]
+        return rows
 
 
 def _require(value: int | None, what: str) -> int:
+    """The projected event, or MissingProjection if there is none."""
     if value is None:
-        raise Unquantifiable(f"{what} does not exist")
+        raise MissingProjection(f"{what} does not exist")
     return value
 
 
 def quantify_event(pr: Projector, x: int, chain: Chain) -> QuantPair:
-    """Quantify event x by the valuations of its two projections."""
+    """Quantify event x by the valuations of its two projections.  This
+    is the one place that demands both projections of an event."""
     fwd = _require(pr.forward(x, chain), f"forward projection of {x}")
     bwd = _require(pr.backward(x, chain), f"backward projection of {x}")
     return QuantPair(chain.value(fwd), chain.value(bwd), (chain.chain_id,))
@@ -196,47 +192,11 @@ def quantify_interval_one_chain(
     STRADDLING crosses them, for intervals lying on both sides of the
     chain.
     """
-    px = _require(pr.forward(x, chain), f"forward projection of {x}")
-    bx = _require(pr.backward(x, chain), f"backward projection of {x}")
-    py = _require(pr.forward(y, chain), f"forward projection of {y}")
-    by = _require(pr.backward(y, chain), f"backward projection of {y}")
-    v = chain.value
+    px, bx = quantify_event(pr, x, chain).components()
+    py, by = quantify_event(pr, y, chain).components()
     if side is Side.SAME_SIDE:
-        return QuantPair(v(py) - v(px), v(by) - v(bx), (chain.chain_id,))
-    return QuantPair(v(py) - v(bx), v(by) - v(px), (chain.chain_id,))
-
-
-def quantify_interval_two_chains(
-    pr: Projector,
-    x: int,
-    y: int,
-    p: Chain,
-    q: Chain,
-    check_between: bool = True,
-) -> QuantPair:
-    """Quantify [x, y] against a coordinated chain pair (forward
-    projections onto each chain).
-
-    Both endpoints must lie between the chains, endpoints on P or Q
-    included.  Coordination of (p, q) is the caller's precondition.
-    """
-    if check_between:
-        from .collinearity import SideClass, side_of
-
-        for e in (x, y):
-            if e in p or e in q:
-                continue
-            if side_of(pr, e, p, q) is not SideClass.BETWEEN:
-                raise NotBetween(f"event {e} is not between {p.chain_id} and {q.chain_id}")
-    px = _require(pr.forward(x, p), f"forward projection of {x}")
-    py = _require(pr.forward(y, p), f"forward projection of {y}")
-    qx = _require(pr.forward(x, q), f"forward projection of {x}")
-    qy = _require(pr.forward(y, q), f"forward projection of {y}")
-    return QuantPair(
-        p.value(py) - p.value(px),
-        q.value(qy) - q.value(qx),
-        (p.chain_id, q.chain_id),
-    )
+        return QuantPair(py - px, by - bx, (chain.chain_id,))
+    return QuantPair(py - bx, by - px, (chain.chain_id,))
 
 
 def classify_interval(pair: QuantPair) -> IntervalClass:

@@ -1,9 +1,13 @@
 """The Projector is the one context of the geometry functions: none takes
 a poset next to a projector, and each measuring function takes ``pr``
-first.  A Poset is built only by its constructor and never changes."""
+first.  A Poset is built only by its constructor and never changes, and
+no module of the package imports inside a function."""
 
+import ast
 import inspect
+from pathlib import Path
 
+import posetgeo
 from posetgeo import collinearity, coordination, errors, fence, projection
 from posetgeo.poset import Poset
 from posetgeo.projection import Projector
@@ -14,7 +18,6 @@ TAKES_PR_FIRST = {
     projection: (
         "quantify_event",
         "quantify_interval_one_chain",
-        "quantify_interval_two_chains",
     ),
     collinearity: (
         "projection_code",
@@ -28,6 +31,7 @@ TAKES_PR_FIRST = {
     ),
     coordination: (
         "are_coordinated",
+        "quantify_interval_two_chains",
         "check_orthogonal_subspaces",
         "simplex_table",
         "dimension_count",
@@ -87,3 +91,18 @@ def test_poset_has_one_constructor_and_no_mutators():
     gone = ("add_event", "add_influence", "freeze", "from_closure")
     assert [name for name in gone if hasattr(Poset, name)] == []
     assert not hasattr(errors, "FrozenPosetError")
+
+
+def test_no_import_inside_a_function():
+    # every module imports at its top, so the layering has no hidden cycle
+    offenders = set()
+    for path in sorted(Path(posetgeo.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                offenders |= {
+                    f"{path.name}:{node.lineno}"
+                    for node in ast.walk(fn)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                }
+    assert sorted(offenders) == []

@@ -1,13 +1,18 @@
 from collections import Counter
-from itertools import combinations, permutations
+from fractions import Fraction
+from itertools import combinations, permutations, product
 
 import pytest
 
 from posetgeo import (
     CollinearityCase,
+    MetricConfig,
     Poset,
     Projector,
+    ProjCode,
     SideClass,
+    WorldlineSpec,
+    build_metric_poset,
     census,
     chain_order,
     chains_properly_collinear,
@@ -193,8 +198,8 @@ def test_codes_match_reference_on_lattice(lattice):
 
 
 def test_codes_match_reference_on_probe_layout():
-    # a fence plus a one-event probe chain; no generated layout realises
-    # Cases IV or V, so those are covered by the hand-built poset below
+    # a fence plus a one-event probe chain; Cases IV and V come from the
+    # hand-built poset and the metric layout below
     bundle = dotprod_config(1).bundle
     seen = _codes_match_reference(bundle.poset, bundle.chains)
     assert {"2201", "1010", "0122"} <= set(seen)
@@ -292,3 +297,58 @@ def test_chains_properly_collinear_matches_scan(layout, lattice):
             assert chains_properly_collinear(pr, x, p, q, events=window) == (
                 _scan_properly_collinear(bundle.poset, x, p, q, window)
             ), (x.chain_id, p.chain_id, q.chain_id, lo, hi)
+
+
+def _case_iv_v_metric_layout():
+    """Three worldlines on a line: P at 0 and Q at 1/4 with unit ticks
+    offset by 1/4, and X at 1/2 with half-unit ticks from 1/4.  X sees
+    P and Q on one side, so against (P, Q) its codes are Cases III and
+    V, and against (Q, P) Cases I and IV."""
+    config = MetricConfig.from_points(
+        {"P": [0], "Q": [Fraction(1, 4)], "X": [Fraction(1, 2)]}
+    )
+    quarter = Fraction(1, 4)
+    return build_metric_poset(
+        config,
+        [
+            WorldlineSpec("P", tuple(range(13))),
+            WorldlineSpec("Q", tuple(quarter + k for k in range(13))),
+            WorldlineSpec("X", tuple(quarter + Fraction(k, 2) for k in range(24))),
+        ],
+    )
+
+
+def test_cases_iv_and_v_on_a_metric_layout():
+    bundle = _case_iv_v_metric_layout()
+    poset = bundle.poset
+    assert len(poset.events()) == 50
+    pr = Projector(poset)
+    p, q, x = (bundle.chain(n) for n in "PQX")
+
+    pairs = [(p, q), (q, p)]
+    result = census(pr, pairs)
+    assert result.histogram == _reference_census(poset, pairs, poset.events())
+    defined = {c: n for c, n in result.histogram.items() if "u" not in c}
+    assert defined == {"0122": 11, "0221": 11, "2102": 11, "2201": 11}
+
+    def cases(a, b):
+        seen = Counter()
+        for e in x.elements:
+            try:
+                seen[classify_collinearity(pr, e, a, b)] += 1
+            except MissingProjection:
+                pass
+        return seen
+
+    assert cases(p, q) == {CollinearityCase.CASE_III: 11, CollinearityCase.CASE_V: 11}
+    assert cases(q, p) == {CollinearityCase.CASE_I: 11, CollinearityCase.CASE_IV: 11}
+
+
+def test_proj_code_string_and_digits_round_trip():
+    for chars in product("012u", repeat=4):
+        s = "".join(chars)
+        code = ProjCode(s)
+        assert str(code) == s
+        assert code.digits == tuple(None if c == "u" else int(c) for c in s)
+        assert "".join("u" if d is None else str(d) for d in code.digits) == s
+        assert code.fully_defined == (None not in code.digits)

@@ -9,16 +9,21 @@ from posetgeo import (
     Projector,
     QuantPair,
     Side,
+    check_orthogonal_subspaces,
     classify_interval,
+    dot_product,
+    event_chain_distance_sq,
     grid_config,
     interval_scalar,
+    lattice_1p1,
     quantify_event,
     quantify_interval_one_chain,
     quantify_interval_two_chains,
     random_dag,
     sym_antisym_decompose,
+    validate_fence,
 )
-from posetgeo.errors import NotBetween, Unquantifiable
+from posetgeo.errors import MissingProjection, NotBetween, Unquantifiable
 from posetgeo.poset import Chain
 
 from .conftest import scan_backward, scan_forward
@@ -117,6 +122,72 @@ def test_quantify_event_unquantifiable_at_boundary(lattice, lattice_projector):
     x = lattice.event("4", 18)  # forward projection runs off the chain
     with pytest.raises(Unquantifiable):
         quantify_event(lattice_projector, x, lattice.chain("0"))
+
+
+def _boundary_calls(lattice, pr):
+    """One call per operation that needs both projections of an event,
+    each at an event whose forward projection onto chain '0' runs off
+    the top of the chain."""
+    c0 = lattice.chain("0")
+    late = lattice.event("4", 18)
+    early = lattice.event("4", 5)
+    fence = validate_fence(pr, lattice.chains[:3])
+    return {
+        "quantify_event": lambda: quantify_event(pr, late, c0),
+        "quantify_interval_one_chain": lambda: quantify_interval_one_chain(
+            pr, early, late, c0, Side.SAME_SIDE
+        ),
+        "event_chain_distance_sq": lambda: event_chain_distance_sq(pr, late, c0),
+        "dot_product": lambda: dot_product(pr, early, late, fence, 0, 2),
+        "check_orthogonal_subspaces": lambda: check_orthogonal_subspaces(
+            pr,
+            c0,
+            lattice.chain("4"),
+            lattice.chain("1"),
+            lattice.chain("3"),
+            lattice.event("0", 18),
+            late,
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "operation",
+    [
+        "quantify_event",
+        "quantify_interval_one_chain",
+        "event_chain_distance_sq",
+        "dot_product",
+        "check_orthogonal_subspaces",
+    ],
+)
+def test_missing_projection_is_one_error_class(lattice, lattice_projector, operation):
+    with pytest.raises(MissingProjection) as raised:
+        _boundary_calls(lattice, lattice_projector)[operation]()
+    assert isinstance(raised.value, Unquantifiable)
+
+
+@pytest.mark.parametrize(
+    "bundle",
+    [lattice_1p1(4, 20), grid_config(3, 3, 3, 4).bundle],
+    ids=["lattice-4x20", "grid-3x3"],
+)
+def test_interior_matches_scan_oracle(bundle):
+    poset, chains = bundle.poset, bundle.chains
+    pr = Projector(poset)
+
+    def both_ways(e, others):
+        return all(
+            scan_forward(poset, e, o) is not None
+            and scan_backward(poset, e, o) is not None
+            for o in others
+        )
+
+    for chain in chains:
+        others = [o for o in chains if o is not chain]
+        for group in [others] + [[o] for o in others]:
+            expected = [pr.row(e) for e in chain.elements if both_ways(e, group)]
+            assert pr.interior(chain, group) == expected
 
 
 def test_one_chain_interval_same_side(lattice, lattice_projector):
