@@ -4,7 +4,6 @@ Pythagorean theorem, and simplex quantification tables."""
 from __future__ import annotations
 
 import enum
-import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -34,15 +33,6 @@ def _span(chain: Chain, interval: tuple[int, int]) -> tuple[int, int]:
     return (lo, hi) if lo <= hi else (hi, lo)
 
 
-def _scaled_values(pr: Projector, chain: Chain) -> tuple[list[int], int]:
-    """The chain's valuations in chain order as integers over their least
-    common denominator, and that denominator.  Kept per projector
-    through ``pr.once``."""
-    values = [chain.valuation[e] for e in chain.elements]
-    lcm = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (lcm // v.denominator) for v in values], lcm
-
-
 def are_coordinated(
     pr: Projector,
     p: Chain,
@@ -61,8 +51,8 @@ def are_coordinated(
     are the Q-indices of ``pr.composed(p, q)``, and the backward images
     of the Q window its P-indices.  A bijection maps the window onto a
     run of consecutive indices.  Valuation offsets are compared exactly,
-    element by element, as integers: each chain's valuations scaled to
-    its least common denominator, once per projector.
+    element by element, on the chains' integer ticks cross-multiplied by
+    each other's denominator.
     """
     if p.chain_id == q.chain_id:
         return True
@@ -99,10 +89,9 @@ def are_coordinated(
         return False
     # both maps are now monotone bijections between runs of one length,
     # so back inverts the forward map and one offset set covers both
-    vp, lp = pr.once(_scaled_values, p)
-    vq, lq = pr.once(_scaled_values, q)
-    # v_p - v_q, scaled by lp * lq, is one integer for every pair
-    offsets = {vp[i] * lq - vq[j] * lp for j, i in enumerate(back, qlo)}
+    # v_p - v_q, scaled by p.den * q.den, is one integer for every pair
+    tp, tq = p.ticks, q.ticks
+    offsets = {tp[i] * q.den - tq[j] * p.den for j, i in enumerate(back, qlo)}
     return len(offsets) == 1
 
 
@@ -269,7 +258,7 @@ def simplex_table(
     ticks = _aligned_interior_ticks(pr, chains)
     if not ticks:
         raise Unquantifiable("no aligned interior ticks across the chains")
-    by_tick = [{v: e for e, v in c.valuation.items()} for c in chains]
+    by_tick = [{c.value(e): e for e in c.elements} for c in chains]
     n = len(chains)
     table: list[list[QuantPair | None]] = [[None] * n for _ in range(n)]
     for i in range(n):

@@ -46,7 +46,7 @@ def chain_pair_distance(pr: Projector, p: Chain, q: Chain) -> Fraction:
     for r in pr.table(p).rows:
         f, b = qt.forward[r], qt.backward[r]
         if f is not None and b is not None:
-            return (q.value(q.elements[f]) - q.value(q.elements[b])) / 2
+            return Fraction(q.ticks[f] - q.ticks[b], 2 * q.den)
     raise Unquantifiable(
         f"no element of {p.chain_id} projects through {q.chain_id} both ways"
     )

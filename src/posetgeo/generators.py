@@ -40,7 +40,9 @@ class WorldlineSpec:
     """A position plus the strictly increasing tick times of its events.
 
     A tick that is already a ``Fraction`` is kept as given; any other
-    value is converted with ``Fraction``."""
+    value is converted with ``Fraction``.  The chain that
+    :func:`build_metric_poset` makes of the worldline checks that the
+    ticks increase."""
 
     position_id: str
     tick_times: tuple[Fraction, ...]
@@ -52,8 +54,6 @@ class WorldlineSpec:
         object.__setattr__(self, "tick_times", ticks)
         if not ticks:
             raise EmptyWorldline(f"worldline {self.position_id} has no ticks")
-        if any(a >= b for a, b in zip(ticks, ticks[1:])):
-            raise ValueError(f"ticks of {self.position_id} not strictly increasing")
 
 
 class MetricConfig:
@@ -81,15 +81,17 @@ class MetricConfig:
     def from_points(
         cls, coords: dict[str, Sequence[Rational]]
     ) -> "MetricConfig":
-        """Euclidean squared distances of explicit coordinates."""
+        """Euclidean squared distances of explicit coordinates, summed
+        on integers over one common coordinate denominator."""
         names = list(coords)
+        points = [list(map(Fraction, coords[a])) for a in names]
+        den = math.lcm(*(x.denominator for xs in points for x in xs))
+        points = [[x.numerator * (den // x.denominator) for x in xs] for xs in points]
         sq = {}
         for i, a in enumerate(names):
-            for b in names[i + 1 :]:
-                sq[(a, b)] = sum(
-                    (Fraction(u) - Fraction(v)) ** 2
-                    for u, v in zip(coords[a], coords[b])
-                )
+            for j in range(i + 1, len(names)):
+                d2 = sum((u - v) ** 2 for u, v in zip(points[i], points[j]))
+                sq[(a, names[j])] = Fraction(d2, den * den)
         return cls(names, sq)
 
     def sq_dist(self, a: str, b: str) -> Fraction:
@@ -122,18 +124,11 @@ class MetricPoset:
     worldline, and the exact squared-distance table that produced it.
     """
 
-    def __init__(
-        self,
-        poset: Poset,
-        chains: list[Chain],
-        config: MetricConfig,
-        ticks: Sequence[tuple[Fraction, ...]],
-    ) -> None:
+    def __init__(self, poset: Poset, chains: list[Chain], config: MetricConfig) -> None:
         self.poset = poset
         self.chains = chains
         self.config = config
         self._by_id = {c.chain_id: c for c in chains}
-        self._ticks = {c.chain_id: t for c, t in zip(chains, ticks)}
 
     def chain(self, position_id: str) -> Chain:
         try:
@@ -143,12 +138,15 @@ class MetricPoset:
 
     def event(self, position_id: str, tick: Rational) -> int:
         """The event at tick on the worldline of position_id, found by
-        bisection over its increasing ticks; KeyError when there is none."""
+        bisection over its chain's integer ticks; KeyError when there is
+        none."""
         tick = Fraction(tick)
-        ticks = self._ticks.get(position_id, ())
-        i = bisect.bisect_left(ticks, tick)
-        if i < len(ticks) and ticks[i] == tick:
-            return self._by_id[position_id].elements[i]
+        chain = self._by_id.get(position_id)
+        if chain is not None:
+            t, rest = divmod(tick.numerator * chain.den, tick.denominator)
+            i = bisect.bisect_left(chain.ticks, t)
+            if not rest and i < len(chain) and chain.ticks[i] == t:
+                return chain.elements[i]
         raise KeyError((position_id, tick))
 
     def sq_dist_chains(self, a: str, b: str) -> Fraction:
@@ -181,19 +179,19 @@ def build_metric_poset(
 ) -> MetricPoset:
     """Realize worldlines over a metric as a poset plus chains.
 
-    Worldline w takes the rows of one block, in tick order.  Ticks are
-    scaled to one integer grid, so the order rule between worldlines i
-    and j reads t_j - t_i >= D_ij, with D_ij from one ``isqrt`` (see
-    :func:`_threshold`).  Worldlines that share one evenly spaced tick
-    tuple of n ticks (every preset grid) share one shift k_ij = ceil(D_ij
-    / step) per pair: row a of i lies below rows a + k_ij .. n - 1 of j.
-    So worldline i has one up template, the bits of row 0, and row a's
-    up mask is that template shifted left by a, with the bits that
-    spill into the next block cleared; the down masks mirror it from
-    the last row.  This is the shift-and idiom of bit-parallel string
-    matching (Baeza-Yates and Gonnet, CACM 1992).  A pair outside such
-    a group (a probe with its own ticks) joins row by row, through a
-    ``bisect`` at t + D and t - D.
+    Worldline w takes the rows of one block, in tick order, and its
+    chain keeps the ticks scaled to one integer grid, so the order rule
+    between worldlines i and j reads t_j - t_i >= D_ij, with D_ij from
+    one ``isqrt`` (see :func:`_threshold`).  Worldlines that share one
+    evenly spaced tick tuple of n ticks (every preset grid) share one
+    shift k_ij = ceil(D_ij / step) per pair: row a of i lies below rows
+    a + k_ij .. n - 1 of j.  So worldline i has one up template, the
+    bits of row 0, and row a's up mask is that template shifted left by
+    a, with the bits that spill into the next block cleared; the down
+    masks mirror it from the last row.  This is the shift-and idiom of
+    bit-parallel string matching (Baeza-Yates and Gonnet, CACM 1992).  A
+    pair outside such a group (a probe with its own ticks) joins row by
+    row, through a ``bisect`` at t + D and t - D.
     """
     seen = set()
     for w in worldlines:
@@ -202,22 +200,22 @@ def build_metric_poset(
         if w.position_id in seen:
             raise InvalidMetric(f"duplicate worldline {w.position_id!r}")
         seen.add(w.position_id)
-        if not w.tick_times:
-            raise EmptyWorldline(w.position_id)
 
     # scale every tick to a shared integer grid so the causal-rule
     # comparisons run on plain ints instead of Fractions
     scale = math.lcm(*(t.denominator for w in worldlines for t in w.tick_times))
     groups: dict[tuple[int, ...], list[int]] = {}
-    scaled = []
+    chains = []
     offsets = []
     total = 0
     for wi, w in enumerate(worldlines):
-        ticks = tuple(t.numerator * (scale // t.denominator) for t in w.tick_times)
-        scaled.append(ticks)
-        groups.setdefault(ticks, []).append(wi)
+        n = len(w.tick_times)
+        ticks = [t.numerator * (scale // t.denominator) for t in w.tick_times]
+        chain = Chain(w.position_id, range(total, total + n), ticks, scale)
+        chains.append(chain)
+        groups.setdefault(chain.ticks, []).append(wi)
         offsets.append(total)
-        total += len(ticks)
+        total += n
     ids = [w.position_id for w in worldlines]
     threshold = [
         [_threshold(config.sq_dist(a, b), scale) for b in ids] for a in ids
@@ -250,27 +248,23 @@ def build_metric_poset(
                 up[off + a] |= (up_t << a) & high
                 down[off + a] |= (down_t >> (n - 1 - a)) & low
 
-    for i, ticks_i in enumerate(scaled):
+    for i, chain_i in enumerate(chains):
         off_i = offsets[i]
-        for j, ticks_j in enumerate(scaled):
+        for j, chain_j in enumerate(chains):
             if (i, j) in shifted:
                 continue
             gap = threshold[i][j]
             off_j = offsets[j]
+            ticks_j = chain_j.ticks
             top = ((1 << len(ticks_j)) - 1) << off_j
-            for a, t in enumerate(ticks_i):
+            for a, t in enumerate(chain_i.ticks):
                 lo = bisect.bisect_left(ticks_j, t + gap)
                 hi = bisect.bisect_right(ticks_j, t - gap)
                 up[off_i + a] |= top >> (off_j + lo) << (off_j + lo)
                 down[off_i + a] |= top & ((1 << (off_j + hi)) - 1)
 
     poset = Poset._from_masks(range(total), up, down)
-
-    chains = []
-    for off, w in zip(offsets, worldlines):
-        elements = range(off, off + len(w.tick_times))
-        chains.append(Chain(w.position_id, elements, dict(zip(elements, w.tick_times))))
-    return MetricPoset(poset, chains, config, [w.tick_times for w in worldlines])
+    return MetricPoset(poset, chains, config)
 
 
 def _integer_ticks(ticks: int) -> tuple[Fraction, ...]:
@@ -359,7 +353,7 @@ class PythagorasConfig:
     @property
     def mid_tick(self) -> Fraction:
         chain = self.bundle.chain("O")
-        return chain.valuation[chain.elements[len(chain) // 2]]
+        return chain.value(chain.elements[len(chain) // 2])
 
 
 def dotprod_config(scale: int = 1, ticks: int | None = None) -> "DotprodConfig":

@@ -7,6 +7,7 @@ from its events and any generating pairs, and never changes.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -148,26 +149,25 @@ class Poset:
 
 class Chain:
     """A totally ordered sequence of events with a strictly monotone
-    exact-rational valuation.  A valuation that is already a ``Fraction``
-    is kept as given; any other value is converted with ``Fraction``."""
+    exact-rational valuation, kept once: integer ``ticks`` in chain
+    order over one positive denominator ``den``, so ``elements[i]`` is
+    valued ``ticks[i] / den``."""
 
     def __init__(
-        self,
-        chain_id: str,
-        elements: Sequence[int],
-        valuation: dict[int, Fraction],
+        self, chain_id: str, elements: Sequence[int], ticks: Sequence[int], den: int
     ) -> None:
         self.chain_id = chain_id
         self.elements = tuple(elements)
-        self.valuation = {
-            e: v if isinstance(v, Fraction) else Fraction(v)
-            for e, v in valuation.items()
-        }
+        self.ticks = tuple(ticks)
+        self.den = den
         self._pos = {e: i for i, e in enumerate(self.elements)}
         if len(self._pos) != len(self.elements):
             raise ValueError(f"chain {chain_id} repeats an event")
-        vals = [self.valuation[e] for e in self.elements]
-        if any(a >= b for a, b in zip(vals, vals[1:])):
+        if len(self.ticks) != len(self.elements):
+            raise ValueError(f"chain {chain_id} needs one tick per event")
+        if den < 1:
+            raise ValueError(f"chain {chain_id} needs a positive denominator")
+        if any(a >= b for a, b in zip(self.ticks, self.ticks[1:])):
             raise ValueError(f"valuation of chain {chain_id} not strictly monotone")
 
     @classmethod
@@ -178,7 +178,9 @@ class Chain:
         elements: Sequence[int],
         valuations: Sequence[Fraction | int],
     ) -> "Chain":
-        """Validated constructor: elements must be totally ordered in poset."""
+        """Validated constructor: elements must be totally ordered in
+        poset.  The valuations are put over their least common
+        denominator."""
         for e in elements:
             if e not in poset:
                 raise UnknownEvent(f"chain {chain_id}: unknown event {e}")
@@ -187,10 +189,13 @@ class Chain:
                 raise ValueError(
                     f"chain {chain_id}: {a} and {b} not ordered in the poset"
                 )
-        return cls(chain_id, elements, dict(zip(elements, map(Fraction, valuations))))
+        values = list(map(Fraction, valuations))
+        den = math.lcm(*(v.denominator for v in values))
+        ticks = [v.numerator * (den // v.denominator) for v in values]
+        return cls(chain_id, elements, ticks, den)
 
     def value(self, event: int) -> Fraction:
-        return self.valuation[event]
+        return Fraction(self.ticks[self._pos[event]], self.den)
 
     def index_of(self, event: int) -> int:
         return self._pos[event]
@@ -199,8 +204,9 @@ class Chain:
         """Chain as seen in the dual poset: order reversed, valuation negated."""
         return Chain(
             self.chain_id,
-            tuple(reversed(self.elements)),
-            {e: -v for e, v in self.valuation.items()},
+            self.elements[::-1],
+            [-t for t in reversed(self.ticks)],
+            self.den,
         )
 
     def __len__(self) -> int:

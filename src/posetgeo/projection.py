@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, TypeVar
 
-from .errors import MissingProjection, UnknownEvent
+from .errors import MissingProjection
 from .poset import Chain, Poset
 
 _T = TypeVar("_T")
@@ -90,20 +90,16 @@ class Projector:
 
     def __init__(self, poset: Poset) -> None:
         self.poset = poset
-        ids = poset.events()
-        self._rows = {e: i for i, e in enumerate(ids)}
-        self._up = list(map(poset.up_mask, ids))
-        self._down = list(map(poset.down_mask, ids))
+        # the poset never changes, so its masks are read in place
+        self._up = poset._up
+        self._down = poset._down
         self._tables: dict[Chain, RankTable] = {}
         self._composed: dict[tuple[Chain, Chain], tuple[list, list, list, list]] = {}
         self._once: dict[tuple, object] = {}
 
     def row(self, event: int) -> int:
         """The poset row of event."""
-        try:
-            return self._rows[event]
-        except KeyError:
-            raise UnknownEvent(f"unknown event {event}") from None
+        return self.poset._row(event)
 
     def table(self, chain: Chain) -> RankTable:
         """The chain's rank table, built once: two popcounts per row."""
@@ -137,10 +133,9 @@ class Projector:
 
     def once(self, fn: Callable[..., _T], *chains: Chain) -> _T:
         """``fn(self, *chains)``, computed once per projector.  It holds
-        the fence-local verdicts (coordination of a chain pair,
-        collinearity of a chain triple) and the integer-scaled
-        valuations of a chain, keyed by ``fn`` and the Chain objects.  A
-        call that raises is not kept."""
+        the fence-local verdicts (the distance and coordination of a
+        chain pair, the collinearity of a chain triple), keyed by ``fn``
+        and the Chain objects.  A call that raises is not kept."""
         key = (fn, *chains)
         try:
             return self._once[key]  # type: ignore[return-value]

@@ -7,6 +7,7 @@ and chains with exact rational valuations rendered as "p/q" strings.
 from __future__ import annotations
 
 import json
+import math
 import re
 from fractions import Fraction
 from typing import IO, Sequence
@@ -29,7 +30,7 @@ def poset_to_doc(poset: Poset, chains: Sequence[Chain] = ()) -> dict:
             {
                 "id": c.chain_id,
                 "events": list(c.elements),
-                "valuations": [fraction_to_str(c.valuation[e]) for e in c.elements],
+                "valuations": [fraction_to_str(c.value(e)) for e in c.elements],
             }
             for c in chains
         ],
@@ -53,7 +54,9 @@ _EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)")
 # A valuation is written back as "p/q", and Python refuses to turn an
 # int of more than 4,300 digits into a string.  So a valuation whose
 # numerator or denominator has more than MAX_DIGITS digits is rejected
-# at load, where the document could not be exported again.
+# at load, where the document could not be exported again.  A chain
+# keeps its valuations over one common denominator, which is held to
+# the same bound.
 MAX_DIGITS = 4000
 
 
@@ -109,6 +112,16 @@ def poset_from_doc(doc: dict) -> tuple[Poset, dict[str, Chain]]:
         if not isinstance(valuations, list) or len(valuations) != len(elements):
             raise ValueError(f"chain {chain_id!r} needs one valuation per event")
         values = [_fraction(v, chain_id) for v in valuations]
+        # fold the common denominator one valuation at a time, so that a
+        # document cannot make Chain.build compute a huge one
+        den = 1
+        for v in values:
+            den = math.lcm(den, v.denominator)
+            if _too_long(den):
+                raise ValueError(
+                    f"chain {chain_id!r}: the valuations have no common"
+                    f" denominator of at most {MAX_DIGITS} digits"
+                )
         chains[chain_id] = Chain.build(poset, chain_id, elements, values)
     return poset, chains
 

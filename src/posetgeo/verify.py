@@ -332,7 +332,7 @@ def suite_wedge() -> RunReport:
             is_orthogonal_grid(grid, bundle),
         )
         origin = bundle.chain("0,0")
-        mid = origin.valuation[origin.elements[len(origin) // 2]]
+        mid = origin.value(origin.elements[len(origin) // 2])
         for row_x, row_y in ((0, rows - 1), (rows - 1, 0)):
             x = bundle.event(f"{row_x},0", mid)
             y = bundle.event(f"{row_y},{cols - 1}", mid)
@@ -363,7 +363,7 @@ def suite_geoproduct() -> RunReport:
         pr = Projector(bundle.poset)
         grid = validate_grid(pr, gcfg.chain_array())
         origin = bundle.chain("0,0")
-        mid = origin.valuation[origin.elements[len(origin) // 2]]
+        mid = origin.value(origin.elements[len(origin) // 2])
         x = bundle.event("0,0", mid)
         y = bundle.event(f"{rows - 1},{cols - 1}", mid)
         try:

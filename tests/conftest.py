@@ -18,6 +18,20 @@ from posetgeo import Chain, Poset, lattice_1p1
 from posetgeo.projection import Projector
 
 
+def wide_denominator_doc(n: int) -> dict:
+    """A one-chain document of n increasing valuations k + 1/(B + k),
+    B = 10**3990, written "(k(B + k) + 1)/(B + k)": each fits the
+    loader's digit limit, but consecutive denominators are coprime, so
+    their common denominator has about 3991 * n digits."""
+    big = 10**3990
+    values = [f"{k * (big + k) + 1}/{big + k}" for k in range(n)]
+    return {
+        "events": list(range(n)),
+        "covers": [[k, k + 1] for k in range(n - 1)],
+        "chains": [{"id": "w", "events": list(range(n)), "valuations": values}],
+    }
+
+
 # Posets and chains never change, so a scan answer can be kept; the
 # census oracle asks for each one many times.
 @cache

@@ -207,7 +207,7 @@ def test_criterion_9_geometric_identity():
             pr = Projector(g.bundle.poset)
             grid = validate_grid(pr, g.chain_array())
             origin = g.bundle.chain("0,0")
-            mid = origin.valuation[origin.elements[len(origin) // 2]]
+            mid = origin.value(origin.elements[len(origin) // 2])
             x = g.bundle.event("0,0", mid)
             y = g.bundle.event(f"{rows - 1},{cols - 1}", mid)
             i, j = 0, cols - 1

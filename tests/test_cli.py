@@ -1,8 +1,11 @@
+import hashlib
 import json
 
 import pytest
 
 from posetgeo.cli import main
+
+from .conftest import wide_denominator_doc
 
 
 def run(argv, capsys):
@@ -80,7 +83,9 @@ def test_classify_missing_file(capsys):
     {"events": [0, 1], "covers": [],
      "chains": [{"id": "0", "events": [0], "valuations": ["9" * 3400 + "e1000"]},
                 {"id": "1", "events": [1], "valuations": ["0"]}]},
-], ids=["empty-object", "list", "short-valuations", "huge-exponent", "too-many-digits"])
+    wide_denominator_doc(50),
+], ids=["empty-object", "list", "short-valuations", "huge-exponent", "too-many-digits",
+        "wide-common-denominator"])
 def test_malformed_document_exits_2(tmp_path, capsys, command, doc):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
@@ -139,3 +144,40 @@ def test_verify_report_deterministic(capsys):
     d1.pop("wall_time_ms")
     d2.pop("wall_time_ms")
     assert d1 == d2
+
+
+# sha256 of what the CLI writes: each generated document at its default
+# parameters, and the projection-code census of the 8x60 lattice.  A
+# change to any of these bytes is a change of output, to be made on
+# purpose and with the digest.
+_GENERATED_SHA256 = {
+    "collinear": "4f10fc9043b444e109c80302a34a22a8cb8f1bb79c4740420779eb19481ef415",
+    "dotprod": "416fd8d233cfe2b7e5b87d7871c65fe9e872e1801e9bc02206699f069e0d4e85",
+    "grid": "d3804f9c6d4d172793faa53bc4852b9dfd5138e0669cedbc7477325c53d7060d",
+    "lattice1p1": "0c8ffda1abb631a2b168b79c7d406b34b62885ab46763f27cd2fe6c7b9a0aefd",
+    "pythagoras": "5cfcf57a6f3db043bac7acfdf688239a077be55598499e04b1c6bcdf84cd9a9f",
+    "randomdag": "5eacfc7a5e9281a0455c0b0769d1b37f851fa43725c2af22850ee33af4f5c7de",
+    "simplex": "c38c321a98842a790d4daf58bf2cc85153432dd94a562d0839bb40f8ac58f7b5",
+}
+_CENSUS_8X60_SHA256 = "4b9873f9d3141505cac59522d7628ce125181b170a99816fe481590fea7b4b98"
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("kind", sorted(_GENERATED_SHA256))
+def test_generated_document_bytes_are_pinned(tmp_path, capsys, kind):
+    path = tmp_path / "doc.json"
+    assert run(["generate", kind, "--out", str(path)], capsys)[0] == 0
+    assert _sha256(path) == _GENERATED_SHA256[kind]
+
+
+def test_lattice_census_csv_bytes_are_pinned(tmp_path, capsys):
+    doc, csv = tmp_path / "lattice.json", tmp_path / "census.csv"
+    run(["generate", "lattice1p1", "--width", "8", "--ticks", "60",
+         "--out", str(doc)], capsys)
+    code, _, _ = run(["classify", str(doc), "all", "all", "--format", "csv",
+                      "--out", str(csv)], capsys)
+    assert code == 0
+    assert _sha256(csv) == _CENSUS_8X60_SHA256

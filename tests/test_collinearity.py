@@ -344,6 +344,23 @@ def test_cases_iv_and_v_on_a_metric_layout():
     assert cases(q, p) == {CollinearityCase.CASE_I: 11, CollinearityCase.CASE_IV: 11}
 
 
+def test_event_lookup_on_quarter_ticks():
+    """Every quarter and half tick of the layout finds its event; 1/8
+    lies between ticks of every worldline and finds none."""
+    bundle = _case_iv_v_metric_layout()
+    quarter = Fraction(1, 4)
+    ticks = {
+        "P": range(13),
+        "Q": [quarter + k for k in range(13)],
+        "X": [quarter + Fraction(k, 2) for k in range(24)],
+    }
+    for name, times in ticks.items():
+        chain = bundle.chain(name)
+        assert [bundle.event(name, t) for t in times] == list(chain.elements)
+        with pytest.raises(KeyError):
+            bundle.event(name, Fraction(1, 8))
+
+
 def test_proj_code_string_and_digits_round_trip():
     for chars in product("012u", repeat=4):
         s = "".join(chars)

@@ -159,7 +159,7 @@ def _warped(bundle, chain_id):
     """The bundle's poset and chains, with one chain valued by the square
     of its ticks: same order, uneven valuation steps."""
     chains = [
-        Chain(c.chain_id, c.elements, {e: v * v for e, v in c.valuation.items()})
+        Chain(c.chain_id, c.elements, [t * t for t in c.ticks], c.den * c.den)
         if c.chain_id == chain_id
         else c
         for c in bundle.chains

@@ -171,7 +171,7 @@ def test_grid_too_small():
 def test_wedge_matches_cross_oracle(grid345):
     g, grid, pr = grid345
     origin = g.bundle.chain("0,0")
-    mid = origin.valuation[origin.elements[len(origin) // 2]]
+    mid = origin.value(origin.elements[len(origin) // 2])
     x = g.bundle.event("0,0", mid)
     y = g.bundle.event("2,2", mid)
     w = wedge_product(pr, x, y, grid, 0, 2, 0, 2)
@@ -187,7 +187,7 @@ def test_wedge_matches_cross_oracle(grid345):
 def test_grid_displacement_sq(grid345):
     g, grid, pr = grid345
     origin = g.bundle.chain("0,0")
-    mid = origin.valuation[origin.elements[len(origin) // 2]]
+    mid = origin.value(origin.elements[len(origin) // 2])
     x = g.bundle.event("0,0", mid)
     y = g.bundle.event("1,1", mid)
     assert grid_displacement_sq(pr, x, y, grid, 0, 1) == 25
@@ -196,7 +196,7 @@ def test_grid_displacement_sq(grid345):
 def test_geometric_identity(grid345):
     g, grid, pr = grid345
     origin = g.bundle.chain("0,0")
-    mid = origin.valuation[origin.elements[len(origin) // 2]]
+    mid = origin.value(origin.elements[len(origin) // 2])
     x = g.bundle.event("0,0", mid)
     y = g.bundle.event("2,2", mid)
     lhs, dot, wedge = geometric_identity_check(pr, x, y, grid, 0, 2, 0, 2)

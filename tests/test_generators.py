@@ -227,7 +227,7 @@ def test_bad_params():
 
 def _worldlines(bundle):
     return [
-        WorldlineSpec(c.chain_id, tuple(c.valuation[e] for e in c.elements))
+        WorldlineSpec(c.chain_id, tuple(map(c.value, c.elements)))
         for c in bundle.chains
     ]
 
@@ -331,3 +331,30 @@ def test_event_lookup(make):
                 bundle.event(chain.chain_id, t)
     with pytest.raises(KeyError):
         bundle.event("nowhere", ticks[0])
+
+
+@pytest.mark.parametrize("ticks", [(0, 0), (2, 1), (0, 2, 1)])
+def test_worldline_ticks_must_increase(ticks):
+    """The worldline's chain checks its ticks before any mask is built,
+    so a repeated tick never reaches the template step as a zero step."""
+    config = MetricConfig.from_points({"A": [0], "B": [1]})
+    worldlines = [WorldlineSpec("A", ticks), WorldlineSpec("B", ticks)]
+    with pytest.raises(ValueError):
+        build_metric_poset(config, worldlines)
+
+
+_COORD = st.fractions(max_denominator=12) | st.integers(-5, 5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.dictionaries(st.text("abcd", min_size=1, max_size=2),
+                       st.lists(_COORD, min_size=2, max_size=2),
+                       min_size=2, max_size=5))
+def test_from_points_matches_a_fraction_sum(coords):
+    """Squared distances over the common coordinate denominator equal the
+    sum of Fraction differences squared, for mixed and negative
+    rational coordinates."""
+    config = MetricConfig.from_points(coords)
+    for a, b in combinations(coords, 2):
+        want = sum((Fraction(u) - Fraction(v)) ** 2 for u, v in zip(coords[a], coords[b]))
+        assert config.sq_dist(a, b) == want

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -109,3 +112,20 @@ def test_dual_chain_negates_valuations():
     dual = chain.dual()
     assert list(dual.elements) == [2, 1, 0]
     assert dual.value(2) == -5 and dual.value(0) == 0
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.fractions() | st.integers(-50, 50), min_size=1, max_size=8,
+                unique=True))
+def test_chain_values_are_the_valuations_given(valuations):
+    """Kept as ticks over their least common denominator, each valuation
+    reads back exactly, and the dual chain reads back its negation."""
+    valuations.sort()
+    n = len(valuations)
+    poset = Poset(range(n), [(k, k + 1) for k in range(n - 1)])
+    chain = Chain.build(poset, "c", range(n), valuations)
+    assert chain.den == math.lcm(*(Fraction(v).denominator for v in valuations))
+    dual = chain.dual()
+    for e, v in enumerate(valuations):
+        assert chain.value(e) == Fraction(v)
+        assert dual.value(e) == -Fraction(v)

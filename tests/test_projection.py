@@ -72,7 +72,7 @@ def test_chains_sharing_an_id_keep_separate_answers(lattice):
     # already answered for the full chain
     full = lattice.chain("0")
     ticks_10_20 = full.elements[10:21]
-    window = Chain("0", ticks_10_20, {e: full.value(e) for e in ticks_10_20})
+    window = Chain("0", ticks_10_20, full.ticks[10:21], full.den)
     poset = lattice.poset
     pr = Projector(poset)
     for chain in (full, window):

@@ -1,5 +1,6 @@
 import io
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,8 @@ from posetgeo.errors import CycleViolation, UnknownEvent
 from posetgeo.serialize import MAX_DIGITS
 from posetgeo.poset import Chain
 
+from .conftest import wide_denominator_doc
+
 
 def round_trip(poset, chains):
     buf = io.StringIO()
@@ -40,7 +43,7 @@ def test_round_trip_preserves_closure_and_valuations():
     for c in bundle.chains:
         c2 = chains2[c.chain_id]
         assert c2.elements == c.elements
-        assert c2.valuation == c.valuation
+        assert list(map(c2.value, c2.elements)) == list(map(c.value, c.elements))
 
 
 def _lattice():
@@ -153,6 +156,16 @@ def test_valuation_at_the_digit_limit_round_trips():
     poset, chains = poset_from_doc(_one_valuation_doc(text))
     doc = poset_to_doc(poset, list(chains.values()))
     assert doc["chains"][0]["valuations"] == [str(10**MAX_DIGITS - 10**1000)]
+
+
+def test_valuations_without_a_short_common_denominator_are_rejected():
+    """Each valuation fits the digit limit, but their common denominator
+    does not; the loader stops at the second one instead of building it."""
+    poset_from_doc(wide_denominator_doc(1))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="common denominator"):
+        poset_from_doc(wide_denominator_doc(50))
+    assert time.perf_counter() - start < 1.0
 
 
 _JSON = st.recursive(
