@@ -5,13 +5,14 @@ against three candidate composed projections; the column of the one
 that reproduces it is the digit.  Exactly five four-digit codes are
 realisable, one per collinearity case.
 
-Codes are computed on chain indices read from the Projector's rank
-tables.  The digit rule is written once (:func:`_codes`), over a batch
-of events: each digit reads only three of an event's four base indices,
-and its candidates from the chain pair's composed index lists.
-``census`` runs it on every event of a chain pair at once;
-``projection_code`` runs it on one event, and ``chains_properly_collinear``
-on a window of a third chain.
+Codes are computed on chain indices from the Projector.  The digit rule
+is written once (:func:`_codes`), over a batch of events: each digit
+reads only three of an event's four base indices, and its candidates
+from the chain pair's composed index lists.  ``census`` runs it on every
+event of a chain pair at once, with base indices from
+``Projector.indices``; ``projection_code`` runs it on one event, and
+``chains_properly_collinear`` on a window of a third chain, whose base
+indices are that chain's composed lists against p and q.
 """
 
 from __future__ import annotations
@@ -124,14 +125,15 @@ def projection_code(pr: Projector, x: int, p: Chain, q: Chain) -> ProjCode:
     Q'x   Q'Px     Q'P'x     QP'x
     ====  =======  ========  =======
 
-    Projections are compared as chain indices, which the rank tables
-    give directly: PQx is the P-index of the forward projection of the
+    Projections are compared as chain indices, which the Projector
+    gives directly: PQx is the P-index of the forward projection of the
     element of Q at the index of Qx.
     """
     _require_distinct(p, q)
-    row = pr.row(x)
-    pt, qt = pr.table(p), pr.table(q)
-    base = (pt.forward[row], pt.backward[row], qt.forward[row], qt.backward[row])
+    row = (pr.row(x),)
+    (fp,), (bp,) = pr.indices(p, row)
+    (fq,), (bq,) = pr.indices(q, row)
+    base = (fp, bp, fq, bq)
     if None in base:
         names = ("Px", "P'x", "Qx", "Q'x")
         missing = [name for name, i in zip(names, base) if i is None]
@@ -222,21 +224,21 @@ def chain_order(
 
 
 def _window_codes(
-    pr: Projector, x_chain: Chain, p: Chain, q: Chain, rows: Sequence[int]
+    pr: Projector, x_chain: Chain, p: Chain, q: Chain, window: Sequence[int]
 ) -> list[str] | None:
-    """The codes of the events at poset ``rows`` of x_chain against (p, q),
-    from one batched :func:`_codes` call, when those events are properly
-    collinear with (p, q) and their projections onto each of p and q
-    cover a closed subchain; None otherwise, a missing projection
-    included."""
+    """The codes of the events of x_chain at the chain indices ``window``
+    against (p, q), from one batched :func:`_codes` call, when those
+    events are properly collinear with (p, q) and their projections onto
+    each of p and q cover a closed subchain; None otherwise, a missing
+    projection included."""
     if x_chain.chain_id in (p.chain_id, q.chain_id):
         raise ValueError("chains_properly_collinear requires distinct chains")
-    if not rows:
+    if not window:
         return None
     _require_distinct(p, q)
-    pt, qt = pr.table(p), pr.table(q)
-    fp, bp, fq, bq = pt.forward, pt.backward, qt.forward, qt.backward
-    base = [(fp[r], bp[r], fq[r], bq[r]) for r in rows]
+    fp, bp = pr.composed(p, x_chain)[:2]
+    fq, bq = pr.composed(q, x_chain)[:2]
+    base = [(fp[i], bp[i], fq[i], bq[i]) for i in window]
     if any(None in b for b in base):
         return None
     codes = _codes(pr, p, q, base)
@@ -261,13 +263,20 @@ def chains_properly_collinear(
 
     ``events`` restricts the check to a window of x_chain (defaults to
     the whole chain, which on finite chains usually fails at the
-    boundary where projections run off p or q).  The window is read
-    from the rank tables and classified in one batch; an event with a
-    missing projection onto p or q makes the answer False, whichever
-    of the two chains it misses.
+    boundary where projections run off p or q); an event that is not on
+    x_chain raises ValueError.  The window is read by chain index from
+    the composed lists of (p, x_chain) and (q, x_chain) and classified
+    in one batch; an event with a missing projection onto p or q makes
+    the answer False, whichever of the two chains it misses.
     """
-    window = x_chain.elements if events is None else events
-    return _window_codes(pr, x_chain, p, q, [pr.row(e) for e in window]) is not None
+    if events is None:
+        window: Sequence[int] = range(len(x_chain))
+    else:
+        for e in events:
+            if e not in x_chain:
+                raise ValueError(f"event {e} is not on chain {x_chain.chain_id}")
+        window = [x_chain.index_of(e) for e in events]
+    return _window_codes(pr, x_chain, p, q, window) is not None
 
 
 @dataclass
@@ -303,19 +312,20 @@ def census(
     events: Sequence[int] | None = None,
 ) -> CensusResult:
     """Count the projection code of every (event, chain pair) whose four
-    projections exist, one chain pair at a time."""
-    rows = None if events is None else [pr.row(e) for e in events]
+    projections exist, one chain pair at a time.  The projection indices
+    of the events are taken once per chain."""
+    rows = range(len(pr.poset)) if events is None else [pr.row(e) for e in events]
+    indices: dict[Chain, tuple[list, list]] = {}
     hist: Counter = Counter()
     total = 0
     for p, q in chain_pairs:
         _require_distinct(p, q)
-        pt, qt = pr.table(p), pr.table(q)
-        fp, bp, fq, bq = pt.forward, pt.backward, qt.forward, qt.backward
-        if rows is None:
-            base = zip(fp, bp, fq, bq)
-        else:
-            base = [(fp[r], bp[r], fq[r], bq[r]) for r in rows]
-        codes = _codes(pr, p, q, [t for t in base if None not in t])
+        for c in (p, q):
+            if c not in indices:
+                indices[c] = pr.indices(c, rows)
+        (fp, bp), (fq, bq) = indices[p], indices[q]
+        base = [t for t in zip(fp, bp, fq, bq) if None not in t]
+        codes = _codes(pr, p, q, base)
         hist.update(codes)
         total += len(codes)
     return CensusResult(hist, total)

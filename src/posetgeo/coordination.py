@@ -236,11 +236,10 @@ class SimplexMode(enum.Enum):
 def _aligned_interior_ticks(pr: Projector, chains: Sequence[Chain]) -> list[Fraction]:
     """Ticks present on every chain whose events project onto every
     other chain in both directions, in order."""
-    events = pr.poset.events()
     ticks = []
     for c in chains:
         others = [o for o in chains if o is not c]
-        ticks.append({c.value(events[r]) for r in pr.interior(c, others)})
+        ticks.append({Fraction(c.ticks[i], c.den) for i in pr.interior(c, others)})
     return sorted(set.intersection(*ticks))
 
 

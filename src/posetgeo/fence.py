@@ -1,10 +1,10 @@
 """Fences (uniform families of parallel chains), grids built from two
 fence families, and the discrete dot, wedge and geometric products.
 
-Fence validation runs on chain indices read from the Projector's rank
-tables: the distance of an adjacent pair, its coordination on the pair's
-composed index lists, and the collinearity of each consecutive triple,
-whose interior window is classified in one batch of the digit rule.
+Fence validation runs on the chain pairs' composed index lists from the
+Projector: the distance and the coordination of an adjacent pair, and
+the collinearity of each consecutive triple, whose interior window is
+classified in one batch of the digit rule.
 Each of these verdicts is computed once per projector (``pr.once``), so
 the fences of one family, and the rows and columns of one grid, share
 the pairs and triples they have in common.
@@ -42,9 +42,8 @@ def event_chain_distance_sq(pr: Projector, x: int, chain: Chain) -> Fraction:
 def chain_pair_distance(pr: Projector, p: Chain, q: Chain) -> Fraction:
     """Distance between two parallel chains, measured by projecting an
     interior element of P through Q in both directions."""
-    qt = pr.table(q)
-    for r in pr.table(p).rows:
-        f, b = qt.forward[r], qt.backward[r]
+    _, _, forward, backward = pr.composed(p, q)
+    for f, b in zip(forward, backward):
         if f is not None and b is not None:
             return Fraction(q.ticks[f] - q.ticks[b], 2 * q.den)
     raise Unquantifiable(

@@ -13,6 +13,19 @@ from typing import Iterable, Sequence
 
 from .errors import CycleViolation, DuplicateEvent, UnknownEvent
 
+# A valuation is written back as "p/q", and Python refuses to turn an
+# int of more than 4,300 digits into a string.  A chain keeps its
+# valuations over one common denominator, which ``Chain.build`` holds
+# to MAX_DIGITS digits; the loader holds each valuation to the same
+# bound.
+MAX_DIGITS = 4000
+
+
+def _too_long(n: int) -> bool:
+    n = abs(n)
+    # 2**(3 * MAX_DIGITS) < 10**MAX_DIGITS, so most values skip the power
+    return n.bit_length() > 3 * MAX_DIGITS and n >= 10**MAX_DIGITS
+
 
 class Poset:
     """An immutable finite partially ordered set of integer event
@@ -98,13 +111,6 @@ class Poset:
         """Bitmask of the rows of the events below event, itself included."""
         return self._down[self._row(event)]
 
-    def rows_mask(self, events: Iterable[int]) -> int:
-        """Bitmask of the rows of events."""
-        mask = 0
-        for e in events:
-            mask |= 1 << self._row(e)
-        return mask
-
     def leq(self, a: int, b: int) -> bool:
         return bool(self._up[self._row(a)] >> self._row(b) & 1)
 
@@ -180,7 +186,8 @@ class Chain:
     ) -> "Chain":
         """Validated constructor: elements must be totally ordered in
         poset.  The valuations are put over their least common
-        denominator."""
+        denominator, folded one valuation at a time; a ValueError is
+        raised once it passes MAX_DIGITS digits."""
         for e in elements:
             if e not in poset:
                 raise UnknownEvent(f"chain {chain_id}: unknown event {e}")
@@ -190,7 +197,14 @@ class Chain:
                     f"chain {chain_id}: {a} and {b} not ordered in the poset"
                 )
         values = list(map(Fraction, valuations))
-        den = math.lcm(*(v.denominator for v in values))
+        den = 1
+        for v in values:
+            den = math.lcm(den, v.denominator)
+            if _too_long(den):
+                raise ValueError(
+                    f"chain {chain_id!r}: the valuations have no common"
+                    f" denominator of at most {MAX_DIGITS} digits"
+                )
         ticks = [v.numerator * (den // v.denominator) for v in values]
         return cls(chain_id, elements, ticks, den)
 

@@ -7,9 +7,11 @@ elements above x form a suffix and those below x a prefix.  With
 ``mask`` the rows of the chain's elements, the forward projection of x
 has chain index ``len(elems) - popcount(up[x] & mask)`` and the backward
 projection ``popcount(down[x] & mask) - 1``; a popcount of 0 means the
-projection does not exist.  :class:`Projector` computes both indices for
-every poset row at once, in one :class:`RankTable` per chain, and
-``forward``/``backward`` read them from there.
+projection does not exist.  This rule lives in :class:`Projector`
+alone: ``indices`` applies it to a list of poset rows, and
+``forward``/``backward`` to one event.  Every other reader takes its
+indices from ``indices`` or from the composed lists of a chain pair, so
+no module outside this one knows a per-row format.
 
 The Projector is the one context of every geometry function in this
 package: each takes ``pr`` first and reads the poset as ``pr.poset``.
@@ -20,7 +22,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, TypeVar
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from .errors import MissingProjection
 from .poset import Chain, Poset
@@ -57,35 +59,17 @@ class QuantPair:
         return (self.first, self.second)
 
 
-class RankTable:
-    """Where every poset row projects onto one chain, as chain indices.
-
-    ``forward[r]`` and ``backward[r]`` are the indices in the chain of
-    the forward and backward projections of the event at poset row r,
-    None where the projection does not exist; ``rows[i]`` is the poset
-    row of the chain's element i.
-    """
-
-    __slots__ = ("rows", "forward", "backward")
-
-    def __init__(
-        self, rows: list[int], forward: list[int | None], backward: list[int | None]
-    ) -> None:
-        self.rows = rows
-        self.forward = forward
-        self.backward = backward
-
-
 class Projector:
     """Projection engine over an immutable poset.
 
-    It builds one :class:`RankTable` per chain on first use, and the
-    composed index lists of each ordered chain pair.  ``forward``,
-    ``backward`` and ``interior`` answer from the tables; ``once`` keeps
-    the fence-local verdicts.  Tables, lists and verdicts are keyed by
-    the Chain object itself, not by its id, so two chains that share an
-    id never share answers.  Nothing is kept beyond the projector: a
-    caller that builds a new projector computes everything again.
+    It keeps two things per chain, built on first use: the bitmask of
+    the chain's poset rows and the list of those rows.  ``indices``
+    applies the rank rule to any rows; ``composed`` keeps the index
+    lists of each ordered chain pair, and ``once`` the fence-local
+    verdicts.  Everything is keyed by the Chain object itself, not by
+    its id, so two chains that share an id never share answers.
+    Nothing is kept beyond the projector: a caller that builds a new
+    projector computes everything again.
     """
 
     def __init__(self, poset: Poset) -> None:
@@ -93,7 +77,7 @@ class Projector:
         # the poset never changes, so its masks are read in place
         self._up = poset._up
         self._down = poset._down
-        self._tables: dict[Chain, RankTable] = {}
+        self._chains: dict[Chain, tuple[int, list[int]]] = {}
         self._composed: dict[tuple[Chain, Chain], tuple[list, list, list, list]] = {}
         self._once: dict[tuple, object] = {}
 
@@ -101,34 +85,39 @@ class Projector:
         """The poset row of event."""
         return self.poset._row(event)
 
-    def table(self, chain: Chain) -> RankTable:
-        """The chain's rank table, built once: two popcounts per row."""
-        table = self._tables.get(chain)
-        if table is None:
-            mask = self.poset.rows_mask(chain.elements)
-            n = len(chain)
-            table = self._tables[chain] = RankTable(
-                [self.row(e) for e in chain.elements],
-                [n - k if (k := (u & mask).bit_count()) else None for u in self._up],
-                [k - 1 if (k := (d & mask).bit_count()) else None for d in self._down],
-            )
-        return table
+    def _chain(self, chain: Chain) -> tuple[int, list[int]]:
+        """The chain's row mask and rows, built once."""
+        got = self._chains.get(chain)
+        if got is None:
+            rows = [self.row(e) for e in chain.elements]
+            got = self._chains[chain] = (sum(1 << r for r in rows), rows)
+        return got
+
+    def indices(
+        self, chain: Chain, rows: Sequence[int]
+    ) -> tuple[list[int | None], list[int | None]]:
+        """The chain indices of the forward and of the backward
+        projection of the events at poset ``rows``, None where a
+        projection does not exist: one popcount each."""
+        mask = self._chain(chain)[0]
+        n = len(chain)
+        up, down = self._up, self._down
+        return (
+            [n - k if (k := (up[r] & mask).bit_count()) else None for r in rows],
+            [k - 1 if (k := (down[r] & mask).bit_count()) else None for r in rows],
+        )
 
     def composed(self, p: Chain, q: Chain) -> tuple[list, list, list, list]:
         """The composed index lists of the pair (p, q), built once: the
         p-indices of the forward and of the backward projection of each
         element of q, in q order, then the q-indices of those of each
-        element of p."""
-        key = (p, q)
-        lists = self._composed.get(key)
+        element of p.  The pair (q, p) gets the same lists, mirrored."""
+        lists = self._composed.get((p, q))
         if lists is None:
-            pt, qt = self.table(p), self.table(q)
-            lists = self._composed[key] = (
-                [pt.forward[r] for r in qt.rows],
-                [pt.backward[r] for r in qt.rows],
-                [qt.forward[r] for r in pt.rows],
-                [qt.backward[r] for r in pt.rows],
-            )
+            pf, pb = self.indices(p, self._chain(q)[1])
+            qf, qb = self.indices(q, self._chain(p)[1])
+            lists = self._composed[p, q] = (pf, pb, qf, qb)
+            self._composed[q, p] = (qf, qb, pf, pb)
         return lists
 
     def once(self, fn: Callable[..., _T], *chains: Chain) -> _T:
@@ -145,22 +134,22 @@ class Projector:
 
     def forward(self, x: int, chain: Chain) -> int | None:
         """min{p in chain | x <= p}, or None."""
-        i = self.table(chain).forward[self.row(x)]
-        return None if i is None else chain.elements[i]
+        k = (self._up[self.row(x)] & self._chain(chain)[0]).bit_count()
+        return chain.elements[len(chain) - k] if k else None
 
     def backward(self, x: int, chain: Chain) -> int | None:
         """max{p in chain | p <= x}, or None."""
-        i = self.table(chain).backward[self.row(x)]
-        return None if i is None else chain.elements[i]
+        k = (self._down[self.row(x)] & self._chain(chain)[0]).bit_count()
+        return chain.elements[k - 1] if k else None
 
     def interior(self, chain: Chain, others: Iterable[Chain]) -> list[int]:
-        """The poset rows of the chain's events, in chain order, that
+        """The chain indices of the chain's events, in chain order, that
         project both ways onto every chain of others."""
-        rows = self.table(chain).rows
-        for table in map(self.table, others):
-            f, b = table.forward, table.backward
-            rows = [r for r in rows if f[r] is not None and b[r] is not None]
-        return rows
+        keep = range(len(chain))
+        for other in others:
+            f, b = self.composed(other, chain)[:2]
+            keep = [i for i in keep if f[i] is not None and b[i] is not None]
+        return list(keep)
 
 
 def _require(value: int | None, what: str) -> int:

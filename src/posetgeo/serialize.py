@@ -7,13 +7,12 @@ and chains with exact rational valuations rendered as "p/q" strings.
 from __future__ import annotations
 
 import json
-import math
 import re
 from fractions import Fraction
 from typing import IO, Sequence
 
 from .errors import UnknownChain
-from .poset import Chain, Poset
+from .poset import MAX_DIGITS, Chain, Poset, _too_long
 
 
 def fraction_to_str(x: Fraction) -> str:
@@ -50,20 +49,6 @@ def _int_list(value, what: str) -> list[int]:
 # Fraction.
 MAX_EXPONENT = 1000
 _EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)")
-
-# A valuation is written back as "p/q", and Python refuses to turn an
-# int of more than 4,300 digits into a string.  So a valuation whose
-# numerator or denominator has more than MAX_DIGITS digits is rejected
-# at load, where the document could not be exported again.  A chain
-# keeps its valuations over one common denominator, which is held to
-# the same bound.
-MAX_DIGITS = 4000
-
-
-def _too_long(n: int) -> bool:
-    n = abs(n)
-    # 2**(3 * MAX_DIGITS) < 10**MAX_DIGITS, so most values skip the power
-    return n.bit_length() > 3 * MAX_DIGITS and n >= 10**MAX_DIGITS
 
 
 def _fraction(value, chain_id: str) -> Fraction:
@@ -112,16 +97,6 @@ def poset_from_doc(doc: dict) -> tuple[Poset, dict[str, Chain]]:
         if not isinstance(valuations, list) or len(valuations) != len(elements):
             raise ValueError(f"chain {chain_id!r} needs one valuation per event")
         values = [_fraction(v, chain_id) for v in valuations]
-        # fold the common denominator one valuation at a time, so that a
-        # document cannot make Chain.build compute a huge one
-        den = 1
-        for v in values:
-            den = math.lcm(den, v.denominator)
-            if _too_long(den):
-                raise ValueError(
-                    f"chain {chain_id!r}: the valuations have no common"
-                    f" denominator of at most {MAX_DIGITS} digits"
-                )
         chains[chain_id] = Chain.build(poset, chain_id, elements, values)
     return poset, chains
 

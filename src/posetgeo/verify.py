@@ -75,16 +75,14 @@ class RunReport:
             value = fraction_to_str(value)
         self.results.append(CheckOutcome(check, inputs, str(value), passed))
 
-    def to_dict(self, include_time: bool = True) -> dict:
-        doc = {
+    def to_dict(self) -> dict:
+        return {
             "command": self.command,
             "inputs": self.inputs,
             "results": [r.to_dict() for r in self.results],
             "pass": self.passed,
+            "wall_time_ms": self.wall_time_ms,
         }
-        if include_time:
-            doc["wall_time_ms"] = self.wall_time_ms
-        return doc
 
 
 def suite_census(width: int = 8, ticks: int = 60) -> RunReport:

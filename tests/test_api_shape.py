@@ -93,6 +93,12 @@ def test_poset_has_one_constructor_and_no_mutators():
     assert not hasattr(errors, "FrozenPosetError")
 
 
+def test_projections_keep_no_whole_poset_rank_tables():
+    assert not hasattr(projection, "RankTable")
+    assert not hasattr(Projector, "table")
+    assert not hasattr(Poset, "rows_mask")
+
+
 def test_no_import_inside_a_function():
     # every module imports at its top, so the layering has no hidden cycle
     offenders = set()

@@ -110,6 +110,12 @@ def test_chains_properly_collinear_window(lattice, lattice_projector):
     assert chains_properly_collinear(lattice_projector, mid, p, q, events=window)
     # full chain includes boundary events whose projections run off
     assert not chains_properly_collinear(lattice_projector, mid, p, q)
+    # an event that is not on the chain is named, not looked up
+    foreign = lattice.event("1", 5)
+    with pytest.raises(ValueError, match=f"^event {foreign} is not on chain 2$"):
+        chains_properly_collinear(
+            lattice_projector, mid, p, q, events=[*window, foreign]
+        )
 
 
 def _case_iv_poset():

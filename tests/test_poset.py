@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from posetgeo import Poset, grid_config, lattice_1p1, random_dag
 from posetgeo.errors import CycleViolation, DuplicateEvent, UnknownEvent
 from posetgeo.poset import Chain
 
-from .conftest import warshall_closure, warshall_reduction
+from .conftest import warshall_closure, warshall_reduction, wide_denominator_doc
 
 
 def test_leq_matches_warshall_oracle():
@@ -129,3 +130,17 @@ def test_chain_values_are_the_valuations_given(valuations):
     for e, v in enumerate(valuations):
         assert chain.value(e) == Fraction(v)
         assert dual.value(e) == -Fraction(v)
+
+
+def test_chain_build_bounds_the_common_denominator():
+    """The common denominator is folded one valuation at a time, so
+    valuations with large coprime denominators stop at the digit bound
+    instead of building it."""
+    doc = wide_denominator_doc(50)
+    (spec,) = doc["chains"]
+    poset = Poset(doc["events"], doc["covers"])
+    values = [Fraction(v) for v in spec["valuations"]]
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="common denominator"):
+        Chain.build(poset, spec["id"], spec["events"], values)
+    assert time.perf_counter() - start < 1.0

@@ -186,7 +186,7 @@ def test_interior_matches_scan_oracle(bundle):
     for chain in chains:
         others = [o for o in chains if o is not chain]
         for group in [others] + [[o] for o in others]:
-            expected = [pr.row(e) for e in chain.elements if both_ways(e, group)]
+            expected = [i for i, e in enumerate(chain.elements) if both_ways(e, group)]
             assert pr.interior(chain, group) == expected
 
 
