@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .collinearity import census
-from .errors import BadParams, PosetGeoError, UnknownChain, UnknownFormat
+from .errors import PosetGeoError, UnknownChain, UnknownFormat
 from .generators import (
     collinear_config,
     dotprod_config,
@@ -54,37 +54,34 @@ def _write(path: str | None, text: str) -> None:
         out.write(text)
 
 
-def cmd_generate(args: argparse.Namespace) -> int:
-    kind = args.kind
+def _rational(text: str) -> Fraction:
+    """A spacing argument: "1/0" is bad input like "x", not a crash."""
     try:
-        if kind == "lattice1p1":
-            bundle = lattice_1p1(args.width, args.ticks)
-        elif kind == "collinear":
-            bundle = collinear_config(args.chains, Fraction(args.spacing), args.ticks)
-        elif kind == "simplex":
-            bundle = simplex_config(args.chains, Fraction(args.spacing), args.ticks)
-        elif kind == "grid":
-            bundle = grid_config(
-                args.rows,
-                args.cols,
-                Fraction(args.row_spacing),
-                Fraction(args.col_spacing),
-                args.ticks,
-            ).bundle
-        elif kind == "pythagoras":
-            bundle = pythagoras_config(args.leg_a, args.leg_b).bundle
-        elif kind == "dotprod":
-            bundle = dotprod_config(args.scale).bundle
-        elif kind == "randomdag":
-            poset = random_dag(args.n, args.p, args.seed)
-            with _output(args.out) as out:
-                dump_json(poset, [], out)
-            return EXIT_PASS
-        else:  # pragma: no cover - argparse restricts choices
-            raise BadParams(f"unknown kind {kind!r}")
-    except (ValueError, ZeroDivisionError) as exc:
-        raise BadParams(str(exc)) from exc
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"spacing {text!r} has a zero denominator") from None
 
+
+def cmd_generate(args: argparse.Namespace) -> int:
+    kind, ticks = args.kind, args.ticks
+    if kind == "lattice1p1":
+        bundle = lattice_1p1(args.width, ticks)
+    elif kind == "collinear":
+        bundle = collinear_config(args.chains, _rational(args.spacing), ticks)
+    elif kind == "simplex":
+        bundle = simplex_config(args.chains, _rational(args.spacing), ticks)
+    elif kind == "grid":
+        spacings = _rational(args.row_spacing), _rational(args.col_spacing)
+        bundle = grid_config(args.rows, args.cols, *spacings, ticks).bundle
+    elif kind == "pythagoras":
+        bundle = pythagoras_config(args.leg_a, args.leg_b, ticks).bundle
+    elif kind == "dotprod":
+        bundle = dotprod_config(args.scale, ticks).bundle
+    else:  # randomdag: argparse restricts the choices
+        poset = random_dag(args.n, args.p, args.seed)
+        with _output(args.out) as out:
+            dump_json(poset, [], out)
+        return EXIT_PASS
     with _output(args.out) as out:
         dump_json(bundle.poset, bundle.chains, out)
     return EXIT_PASS
@@ -207,11 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "generate" and args.ticks is None:
-        if args.kind == "lattice1p1":
-            args.ticks = 40
-        elif args.kind in ("collinear", "simplex"):
-            args.ticks = 20
     try:
         return args.func(args)
     except PosetGeoError as exc:

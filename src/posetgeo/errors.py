@@ -82,10 +82,6 @@ class EmptyWorldline(PosetGeoError):
     pass
 
 
-class BadParams(PosetGeoError):
-    pass
-
-
 class UnknownSuite(PosetGeoError):
     pass
 

@@ -27,7 +27,6 @@ from .errors import (
     TimeMismatch,
     Unquantifiable,
 )
-from .generators import MetricPoset
 from .poset import Chain
 from .projection import Projector, quantify_event, sym_antisym_decompose
 
@@ -269,25 +268,6 @@ def grid_displacement_sq(
     par = dot.signed
     perp = (row_y - row_x) * grid.col_spacing
     return par * par + perp * perp
-
-
-def is_orthogonal_grid(grid: Grid, metric: MetricPoset) -> bool:
-    """Exact squared-distance check over all row/column quadruples: the
-    diagonal of every sub-rectangle satisfies the Pythagorean relation."""
-    m, n = grid.shape
-    ids = [[c.chain_id for c in row] for row in grid.chain_array]
-    for i in range(m):
-        for j in range(i + 1, m):
-            for k in range(n):
-                for l in range(n):
-                    if k == l:
-                        continue
-                    diag = metric.sq_dist_chains(ids[i][k], ids[j][l])
-                    rows = metric.sq_dist_chains(ids[i][k], ids[j][k])
-                    cols = metric.sq_dist_chains(ids[j][k], ids[j][l])
-                    if diag != rows + cols:
-                        return False
-    return True
 
 
 def wedge_product(

@@ -4,8 +4,10 @@ Events are (tick, position) pairs; the order rule is
 
     (t1, p1) <= (t2, p2)  iff  t2 - t1 >= 0 and (t2 - t1)^2 >= d^2(p1, p2)
 
-compared exactly on Fractions, so no floating point enters anywhere.
-The triangle inequality on the metric guarantees transitivity.
+compared exactly on integers: every tick is put over one shared scale,
+and each squared distance becomes one integer threshold, so no floating
+point enters anywhere.  The triangle inequality on the metric guarantees
+transitivity.
 """
 
 from __future__ import annotations
@@ -13,14 +15,21 @@ from __future__ import annotations
 import bisect
 import math
 import random
+from itertools import combinations
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .errors import EmptyWorldline, InvalidMetric, UnknownChain
 from .poset import Chain, Poset
 
 Rational = Fraction | int
+
+# Size bounds, checked before any metric is built or pair drawn: the
+# triangle check visits every triple of positions; random_dag O(n^2) pairs.
+MAX_EVENTS = 10_000
+MAX_POSITIONS = 64
+MAX_DAG_EVENTS = 2_000
 
 
 def sqrt_exact(value: Fraction) -> Fraction | None:
@@ -33,27 +42,6 @@ def sqrt_exact(value: Fraction) -> Fraction | None:
     if rn * rn == n and rd * rd == d:
         return Fraction(rn, rd)
     return None
-
-
-@dataclass(frozen=True)
-class WorldlineSpec:
-    """A position plus the strictly increasing tick times of its events.
-
-    A tick that is already a ``Fraction`` is kept as given; any other
-    value is converted with ``Fraction``.  The chain that
-    :func:`build_metric_poset` makes of the worldline checks that the
-    ticks increase."""
-
-    position_id: str
-    tick_times: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        ticks = tuple(
-            t if isinstance(t, Fraction) else Fraction(t) for t in self.tick_times
-        )
-        object.__setattr__(self, "tick_times", ticks)
-        if not ticks:
-            raise EmptyWorldline(f"worldline {self.position_id} has no ticks")
 
 
 class MetricConfig:
@@ -175,48 +163,48 @@ def _step(ticks: Sequence[int]) -> int | None:
 
 
 def build_metric_poset(
-    config: MetricConfig, worldlines: Sequence[WorldlineSpec]
+    config: MetricConfig, worldlines: Mapping[str, Sequence[Rational]]
 ) -> MetricPoset:
     """Realize worldlines over a metric as a poset plus chains.
 
-    Worldline w takes the rows of one block, in tick order, and its
-    chain keeps the ticks scaled to one integer grid, so the order rule
-    between worldlines i and j reads t_j - t_i >= D_ij, with D_ij from
-    one ``isqrt`` (see :func:`_threshold`).  Worldlines that share one
-    evenly spaced tick tuple of n ticks (every preset grid) share one
-    shift k_ij = ceil(D_ij / step) per pair: row a of i lies below rows
-    a + k_ij .. n - 1 of j.  So worldline i has one up template, the
-    bits of row 0, and row a's up mask is that template shifted left by
-    a, with the bits that spill into the next block cleared; the down
-    masks mirror it from the last row.  This is the shift-and idiom of
-    bit-parallel string matching (Baeza-Yates and Gonnet, CACM 1992).  A
-    pair outside such a group (a probe with its own ticks) joins row by
-    row, through a ``bisect`` at t + D and t - D.
+    ``worldlines`` maps each position id to the increasing ticks of its
+    events, each an int or a Fraction.  Worldline w takes the rows of
+    one block, in tick order, and its chain keeps the ticks over one
+    shared integer scale, so the order rule between worldlines i and j
+    reads t_j - t_i >= D_ij, with D_ij from one ``isqrt`` (see
+    :func:`_threshold`).  Worldlines that share one evenly spaced tick
+    tuple of n ticks (every preset grid) share one shift k_ij = ceil(D_ij
+    / step) per pair: row a of i lies below rows a + k_ij .. n - 1 of j.
+    So worldline i has one up template, the bits of row 0, and row a's
+    up mask is that template shifted left by a, with the bits that spill
+    into the next block cleared; the down masks mirror it from the last
+    row.  This is the shift-and idiom of bit-parallel string matching
+    (Baeza-Yates and Gonnet, CACM 1992).  A pair outside such a group (a
+    probe with its own ticks) joins row by row, through a ``bisect`` at
+    t + D and t - D.
     """
-    seen = set()
-    for w in worldlines:
-        if w.position_id not in config.positions:
-            raise InvalidMetric(f"worldline position {w.position_id!r} not in metric")
-        if w.position_id in seen:
-            raise InvalidMetric(f"duplicate worldline {w.position_id!r}")
-        seen.add(w.position_id)
+    for position_id, ticks in worldlines.items():
+        if position_id not in config.positions:
+            raise InvalidMetric(f"worldline position {position_id!r} not in metric")
+        if not ticks:
+            raise EmptyWorldline(f"worldline {position_id} has no ticks")
 
-    # scale every tick to a shared integer grid so the causal-rule
-    # comparisons run on plain ints instead of Fractions
-    scale = math.lcm(*(t.denominator for w in worldlines for t in w.tick_times))
+    # every tick over one shared integer scale (an int's denominator is
+    # 1), so the causal-rule comparisons run on plain ints
+    scale = math.lcm(*(t.denominator for ticks in worldlines.values() for t in ticks))
     groups: dict[tuple[int, ...], list[int]] = {}
     chains = []
     offsets = []
     total = 0
-    for wi, w in enumerate(worldlines):
-        n = len(w.tick_times)
-        ticks = [t.numerator * (scale // t.denominator) for t in w.tick_times]
-        chain = Chain(w.position_id, range(total, total + n), ticks, scale)
+    for wi, (position_id, ticks) in enumerate(worldlines.items()):
+        n = len(ticks)
+        scaled = [t.numerator * (scale // t.denominator) for t in ticks]
+        chain = Chain(position_id, range(total, total + n), scaled, scale)
         chains.append(chain)
         groups.setdefault(chain.ticks, []).append(wi)
         offsets.append(total)
         total += n
-    ids = [w.position_id for w in worldlines]
+    ids = list(worldlines)
     threshold = [
         [_threshold(config.sq_dist(a, b), scale) for b in ids] for a in ids
     ]
@@ -267,55 +255,60 @@ def build_metric_poset(
     return MetricPoset(poset, chains, config)
 
 
-def _integer_ticks(ticks: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction(t) for t in range(ticks + 1))
+def _check_size(positions: int, ticks: int) -> None:
+    """Refuse a layout of more than MAX_POSITIONS worldlines, or of more
+    than MAX_EVENTS events at ticks 0..ticks, before its metric is built."""
+    if positions > MAX_POSITIONS or positions * (ticks + 1) > MAX_EVENTS:
+        raise ValueError(
+            f"{positions} worldlines of {ticks + 1} ticks pass the bound of"
+            f" {MAX_POSITIONS} worldlines and {MAX_EVENTS} events"
+        )
 
 
-def lattice_1p1(width: int, ticks: int) -> MetricPoset:
-    """Unit-spaced worldlines on a line: positions 0..width, ticks 0..ticks."""
+def _ticking(config: MetricConfig, ticks: int) -> MetricPoset:
+    """Every position of config with one event at each tick 0..ticks."""
+    return build_metric_poset(config, dict.fromkeys(config.positions, range(ticks + 1)))
+
+
+def _line(n_chains: int, spacing: Rational, ticks: int) -> MetricPoset:
+    """The body of both line presets: chains "0".."n-1" at i * spacing."""
+    _check_size(n_chains, ticks)
+    coords = {str(i): (i * spacing,) for i in range(n_chains)}
+    return _ticking(MetricConfig.from_points(coords), ticks)
+
+
+def lattice_1p1(width: int, ticks: int | None = None) -> MetricPoset:
+    """Unit-spaced worldlines on a line: positions 0..width, ticks
+    0..ticks (40 by default)."""
+    ticks = 40 if ticks is None else ticks
     if width < 0 or ticks < 1:
         raise ValueError("width must be >= 0 and ticks >= 1")
-    coords = {str(i): (i,) for i in range(width + 1)}
-    config = MetricConfig.from_points(coords)
-    tick_tuple = _integer_ticks(ticks)
-    return build_metric_poset(
-        config, [WorldlineSpec(str(i), tick_tuple) for i in range(width + 1)]
-    )
+    return _line(width + 1, 1, ticks)
 
 
 def collinear_config(
-    n_chains: int, spacing: Rational = 1, ticks: int = 20
+    n_chains: int, spacing: Rational = 1, ticks: int | None = None
 ) -> MetricPoset:
-    """n chains on a line at arithmetic spacing (simplex Case I)."""
+    """n chains on a line at arithmetic spacing (simplex Case I), ticks
+    0..ticks (20 by default)."""
     if n_chains < 2:
         raise ValueError("need at least 2 chains")
-    spacing = Fraction(spacing)
-    coords = {str(i): (i * spacing,) for i in range(n_chains)}
-    config = MetricConfig.from_points(coords)
-    tick_tuple = _integer_ticks(ticks)
-    return build_metric_poset(
-        config, [WorldlineSpec(str(i), tick_tuple) for i in range(n_chains)]
-    )
+    return _line(n_chains, Fraction(spacing), 20 if ticks is None else ticks)
 
 
 def simplex_config(
-    n_chains: int, spacing: Rational = 1, ticks: int = 20
+    n_chains: int, spacing: Rational = 1, ticks: int | None = None
 ) -> MetricPoset:
-    """n pairwise-equidistant chains (simplex Case II)."""
+    """n pairwise-equidistant chains (simplex Case II), ticks 0..ticks
+    (20 by default)."""
     if n_chains < 2:
         raise ValueError("need at least 2 chains")
+    ticks = 20 if ticks is None else ticks
+    _check_size(n_chains, ticks)
     spacing = Fraction(spacing)
     names = [str(i) for i in range(n_chains)]
-    sq = {
-        (a, b): spacing * spacing
-        for i, a in enumerate(names)
-        for b in names[i + 1 :]
-    }
-    config = MetricConfig(names, sq)
-    tick_tuple = _integer_ticks(ticks)
-    return build_metric_poset(
-        config, [WorldlineSpec(n, tick_tuple) for n in names]
-    )
+    sq = {pair: spacing * spacing for pair in combinations(names, 2)}
+    return _ticking(MetricConfig(names, sq), ticks)
 
 
 def pythagoras_config(a: int, b: int, ticks: int | None = None) -> "PythagorasConfig":
@@ -323,32 +316,19 @@ def pythagoras_config(a: int, b: int, ticks: int | None = None) -> "PythagorasCo
 
     Chains sit at P(-a,0), O(0,0), Q(a,0) on one axis and R(0,b),
     S(0,-b) on the perpendicular; [p,o] and [o,r] realize the legs.
+    By default they tick for twice the reach 2(a + b) + 2.
     """
     if a < 0 or b < 0:
         raise ValueError("legs must be nonnegative")
-    reach = 2 * (a + b) + 2
-    if ticks is None:
-        ticks = 2 * reach
-    coords = {
-        "P": (-a, 0),
-        "O": (0, 0),
-        "Q": (a, 0),
-        "R": (0, b),
-        "S": (0, -b),
-    }
-    config = MetricConfig.from_points(coords)
-    tick_tuple = _integer_ticks(ticks)
-    bundle = build_metric_poset(
-        config, [WorldlineSpec(n, tick_tuple) for n in coords]
-    )
-    return PythagorasConfig(bundle, Fraction(a), Fraction(b))
+    ticks = 2 * (2 * (a + b) + 2) if ticks is None else ticks
+    _check_size(5, ticks)
+    coords = {"P": (-a, 0), "O": (0, 0), "Q": (a, 0), "R": (0, b), "S": (0, -b)}
+    return PythagorasConfig(_ticking(MetricConfig.from_points(coords), ticks))
 
 
 @dataclass
 class PythagorasConfig:
     bundle: MetricPoset
-    leg_a: Fraction
-    leg_b: Fraction
 
     @property
     def mid_tick(self) -> Fraction:
@@ -364,28 +344,20 @@ def dotprod_config(scale: int = 1, ticks: int | None = None) -> "DotprodConfig":
     if scale < 1:
         raise ValueError("scale must be >= 1")
     k = scale
-    if ticks is None:
-        ticks = 14 * k + 2
-    mid = Fraction(ticks, 2) if ticks % 2 == 0 else Fraction(ticks - 1, 2)
-    coords = {
-        "F0": (0, 0),
-        "F1": (3 * k, 0),
-        "F2": (6 * k, 0),
-        "X": (3 * k, 4 * k),
-    }
-    config = MetricConfig.from_points(coords)
-    tick_tuple = _integer_ticks(ticks)
-    worldlines = [WorldlineSpec(n, tick_tuple) for n in ("F0", "F1", "F2")]
-    worldlines.append(WorldlineSpec("X", (mid,)))
-    bundle = build_metric_poset(config, worldlines)
-    return DotprodConfig(bundle, k, mid)
+    ticks = 14 * k + 2 if ticks is None else ticks
+    _check_size(4, ticks)
+    coords = {"F0": (0, 0), "F1": (3 * k, 0), "F2": (6 * k, 0), "X": (3 * k, 4 * k)}
+    mid = ticks // 2
+    worldlines = dict.fromkeys(("F0", "F1", "F2"), range(ticks + 1))
+    worldlines["X"] = (mid,)
+    bundle = build_metric_poset(MetricConfig.from_points(coords), worldlines)
+    return DotprodConfig(bundle, mid)
 
 
 @dataclass
 class DotprodConfig:
     bundle: MetricPoset
-    scale: int
-    probe_tick: Fraction
+    probe_tick: int
 
     @property
     def fence_chains(self) -> list[Chain]:
@@ -411,17 +383,13 @@ def grid_config(
     if ticks is None:
         span = (cols - 1) * row_spacing + (rows - 1) * col_spacing
         ticks = int(2 * span) + 4
+    _check_size(rows * cols, ticks)
     coords = {
         f"{r},{c}": (c * row_spacing, r * col_spacing)
         for r in range(rows)
         for c in range(cols)
     }
-    config = MetricConfig.from_points(coords)
-    tick_tuple = _integer_ticks(ticks)
-    bundle = build_metric_poset(
-        config, [WorldlineSpec(n, tick_tuple) for n in coords]
-    )
-    return GridConfig(bundle, rows, cols)
+    return GridConfig(_ticking(MetricConfig.from_points(coords), ticks), rows, cols)
 
 
 @dataclass
@@ -441,6 +409,10 @@ def random_dag(n_events: int, edge_probability: float, seed: int) -> Poset:
     """Deterministic random layered DAG, transitively closed."""
     if not 0 <= edge_probability <= 1:
         raise ValueError("edge probability must be in [0, 1]")
+    if n_events > MAX_DAG_EVENTS:
+        raise ValueError(
+            f"{n_events} events pass the random DAG bound of {MAX_DAG_EVENTS}"
+        )
     rng = random.Random(seed)
     layer_count = max(1, math.isqrt(max(n_events, 1)))
     layers = [rng.randrange(layer_count) for _ in range(n_events)]

@@ -22,15 +22,16 @@ from .coordination import (
 )
 from .errors import PosetGeoError, UnknownSuite
 from .fence import (
+    Grid,
     dot_product,
     geometric_identity_check,
-    is_orthogonal_grid,
     parallel_postulate_check,
     validate_fence,
     validate_grid,
     wedge_product,
 )
 from .generators import (
+    MetricPoset,
     collinear_config,
     dotprod_config,
     grid_config,
@@ -311,6 +312,26 @@ def _grid_layouts():
     for k in range(1, 8):
         for rows, cols in ((3, 3), (3, 4), (4, 3)):
             yield rows, cols, k
+
+
+def is_orthogonal_grid(grid: Grid, metric: MetricPoset) -> bool:
+    """Metric truth for the wedge suite, read from the squared-distance
+    table and not from projections: over all row/column quadruples, the
+    diagonal of every sub-rectangle satisfies the Pythagorean relation."""
+    m, n = grid.shape
+    ids = [[c.chain_id for c in row] for row in grid.chain_array]
+    for i in range(m):
+        for j in range(i + 1, m):
+            for k in range(n):
+                for l in range(n):
+                    if k == l:
+                        continue
+                    diag = metric.sq_dist_chains(ids[i][k], ids[j][l])
+                    rows = metric.sq_dist_chains(ids[i][k], ids[j][k])
+                    cols = metric.sq_dist_chains(ids[j][k], ids[j][l])
+                    if diag != rows + cols:
+                        return False
+    return True
 
 
 def suite_wedge() -> RunReport:

@@ -10,11 +10,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from math import gcd
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from posetgeo import Chain, Poset, lattice_1p1
+from posetgeo import Chain, MetricConfig, Poset, generators, lattice_1p1
 from posetgeo.projection import Projector
 
 
@@ -171,31 +172,50 @@ def lattice_projector(lattice):
     return Projector(lattice.poset)
 
 
+class ReachedBuild(Exception):
+    """A generator got past its size bound to the metric or the draw."""
+
+
+@pytest.fixture
+def stop_at_build(monkeypatch):
+    """Stop every generator where its work would start: the metric's
+    constructor and random_dag's generator raise ReachedBuild, so a test
+    can see whether a request passes the size bound without running it."""
+    def stop(*args, **kwargs):
+        raise ReachedBuild
+
+    monkeypatch.setattr(MetricConfig, "__init__", stop)
+    monkeypatch.setattr(generators, "random", SimpleNamespace(Random=stop))
+
+
 def sweep_masks(config, worldlines) -> tuple[list[int], list[int]]:
-    """Up and down masks of a metric layout by a two-pointer sweep over
-    every ordered worldline pair: the order rule compared tick by tick,
-    without thresholds or templates.  Rows follow the worldlines' ticks
-    in order, as in ``build_metric_poset``."""
+    """Up and down masks of a metric layout, given as a mapping from
+    position id to ticks, by a two-pointer sweep over every ordered
+    worldline pair: the order rule compared tick by tick, without
+    thresholds or templates.  Rows follow the worldlines' ticks in order,
+    as in ``build_metric_poset``."""
+    ids = list(worldlines)
+    tick_lists = [[Fraction(t) for t in worldlines[n]] for n in ids]
     offsets = []
     total = 0
-    for w in worldlines:
+    for ticks in tick_lists:
         offsets.append(total)
-        total += len(w.tick_times)
+        total += len(ticks)
     full_mask = [
-        ((1 << len(w.tick_times)) - 1) << off for off, w in zip(offsets, worldlines)
+        ((1 << len(ticks)) - 1) << off for off, ticks in zip(offsets, tick_lists)
     ]
     scale = 1
-    for w in worldlines:
-        for t in w.tick_times:
+    for ticks in tick_lists:
+        for t in ticks:
             scale = scale * t.denominator // gcd(scale, t.denominator)
-    scaled = [[int(t * scale) for t in w.tick_times] for w in worldlines]
+    scaled = [[int(t * scale) for t in ticks] for ticks in tick_lists]
 
     up = [0] * total
     down = [0] * total
-    for wi, (off_i, w_i) in enumerate(zip(offsets, worldlines)):
+    for wi, (off_i, id_i) in enumerate(zip(offsets, ids)):
         ticks_i = scaled[wi]
-        for wj, (off_j, w_j) in enumerate(zip(offsets, worldlines)):
-            d2 = config.sq_dist(w_i.position_id, w_j.position_id)
+        for wj, (off_j, id_j) in enumerate(zip(offsets, ids)):
+            d2 = config.sq_dist(id_i, id_j)
             # (tj - ti)^2 >= d2 becomes dt^2 * q >= r on the scaled grid
             r = d2.numerator * scale * scale
             q = d2.denominator

@@ -1,14 +1,15 @@
 """The Projector is the one context of the geometry functions: none takes
 a poset next to a projector, and each measuring function takes ``pr``
-first.  A Poset is built only by its constructor and never changes, and
-no module of the package imports inside a function."""
+first.  A Poset is built only by its constructor and never changes, no
+module of the package imports inside a function, and the geometry layers
+import nothing from the layout generators."""
 
 import ast
 import inspect
 from pathlib import Path
 
 import posetgeo
-from posetgeo import collinearity, coordination, errors, fence, projection
+from posetgeo import collinearity, coordination, errors, fence, generators, projection
 from posetgeo.poset import Poset
 from posetgeo.projection import Projector
 
@@ -112,3 +113,27 @@ def test_no_import_inside_a_function():
                     if isinstance(node, (ast.Import, ast.ImportFrom))
                 }
     assert sorted(offenders) == []
+
+
+def _imported_modules(module):
+    names = set()
+    for node in ast.walk(ast.parse(inspect.getsource(module))):
+        if isinstance(node, ast.ImportFrom):
+            names.add(node.module)
+            if node.module is None:  # from . import name
+                names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+    return names
+
+
+def test_geometry_layers_import_no_generators():
+    # projections, codes and fences read posets and chains, never how a
+    # layout was made; worldlines reach the build as a {position: ticks} map
+    offenders = [
+        module.__name__
+        for module in (projection, collinearity, fence)
+        if "generators" in _imported_modules(module)
+    ]
+    assert offenders == []
+    assert not hasattr(generators, "WorldlineSpec")

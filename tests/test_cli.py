@@ -1,11 +1,17 @@
 import hashlib
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import posetgeo
 from posetgeo.cli import main
 
-from .conftest import wide_denominator_doc
+from .conftest import ReachedBuild, wide_denominator_doc
 
 
 def run(argv, capsys):
@@ -36,6 +42,77 @@ def test_generate_simplex_counts(tmp_path, capsys):
     doc = json.loads(path.read_text())
     assert len(doc["chains"]) == 4
     assert len(doc["events"]) == 44
+
+
+_METRIC_KINDS = ["lattice1p1", "collinear", "simplex", "grid", "pythagoras", "dotprod"]
+
+
+@pytest.mark.parametrize("kind", _METRIC_KINDS)
+def test_generate_honours_ticks(tmp_path, capsys, kind):
+    path = tmp_path / "doc.json"
+    assert run(["generate", kind, "--ticks", "7", "--out", str(path)], capsys)[0] == 0
+    lengths = {c["id"]: len(c["events"]) for c in json.loads(path.read_text())["chains"]}
+    if kind == "dotprod":
+        assert lengths.pop("X") == 1  # the probe worldline has one tick
+    assert set(lengths.values()) == {8}
+
+
+@pytest.mark.parametrize("kind", _METRIC_KINDS)
+def test_generate_negative_ticks_exits_2(tmp_path, capsys, kind):
+    path = tmp_path / "doc.json"
+    code, _, err = run(["generate", kind, "--ticks", "-1", "--out", str(path)], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not path.exists()
+
+
+# Each request passes its bound; were the bound gone, each would stop
+# at once in the stop_at_build fixture instead of building anything large.
+@pytest.mark.parametrize("argv", [
+    ["lattice1p1", "--width", "64"],
+    ["lattice1p1", "--ticks", "1000000000"],
+    ["grid", "--rows", "9", "--cols", "8"],
+    ["grid", "--row-spacing", "1000000000"],
+    ["pythagoras", "--leg-a", "1000000000"],
+    ["dotprod", "--scale", "1000000000"],
+    ["randomdag", "--n", "1000000000"],
+], ids=["lattice-width", "lattice-ticks", "grid-shape", "grid-spacing",
+        "pythagoras-leg", "dotprod-scale", "randomdag-n"])
+def test_oversized_generate_exits_2_before_building(stop_at_build, capsys, argv):
+    try:
+        code, _, err = run(["generate", *argv], capsys)
+    except ReachedBuild:
+        pytest.fail("an oversized request got past the size bound")
+    assert code == 2
+    assert err.startswith("error: ") and "bound" in err and err.count("\n") == 1
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+
+@pytest.mark.parametrize("argv", [["lattice1p1", "--width", "1000000000"],
+                                  ["randomdag", "--n", "1000000000"]],
+                         ids=["lattice-width", "randomdag-n"])
+def test_billion_sized_generate_exits_2_at_once(argv):
+    """The command itself, in a child process held to 512 MB and 30 s."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "posetgeo.cli", "generate", *argv],
+        capture_output=True, text=True, timeout=30, preexec_fn=_limit_memory,
+        env={**os.environ, "PYTHONPATH": str(Path(posetgeo.__file__).parents[1])},
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [["collinear", "--spacing", "1/0"],
+                                  ["grid", "--col-spacing", "x"]],
+                         ids=["zero-denominator", "not-a-number"])
+def test_generate_bad_spacing_exits_2(capsys, argv):
+    code, _, err = run(["generate", *argv], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_generate_randomdag_bad_probability(capsys):

@@ -11,7 +11,6 @@ from posetgeo import (
     Projector,
     ProjCode,
     SideClass,
-    WorldlineSpec,
     build_metric_poset,
     census,
     chain_order,
@@ -316,11 +315,11 @@ def _case_iv_v_metric_layout():
     quarter = Fraction(1, 4)
     return build_metric_poset(
         config,
-        [
-            WorldlineSpec("P", tuple(range(13))),
-            WorldlineSpec("Q", tuple(quarter + k for k in range(13))),
-            WorldlineSpec("X", tuple(quarter + Fraction(k, 2) for k in range(24))),
-        ],
+        {
+            "P": range(13),
+            "Q": [quarter + k for k in range(13)],
+            "X": [quarter + Fraction(k, 2) for k in range(24)],
+        },
     )
 
 

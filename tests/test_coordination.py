@@ -10,7 +10,6 @@ from posetgeo import (
     Projector,
     QuantPair,
     SimplexMode,
-    WorldlineSpec,
     are_coordinated,
     build_metric_poset,
     check_orthogonal_subspaces,
@@ -46,7 +45,7 @@ def test_mismatched_tick_spacing_not_coordinated():
     fast = tuple(Fraction(t) for t in range(0, 13))
     slow = tuple(Fraction(t) for t in range(0, 13, 2))
     bundle = build_metric_poset(
-        config, [WorldlineSpec("A", fast), WorldlineSpec("B", slow)]
+        config, {"A": fast, "B": slow}
     )
     pr = Projector(bundle.poset)
     assert not are_coordinated(pr, bundle.chain("A"), bundle.chain("B"))
@@ -80,7 +79,7 @@ def test_orthogonal_subspaces_false_when_not_perpendicular():
     coords = {"P": (-3, 0), "Q": (3, 0), "R": (-12, 0), "S": (12, 0)}
     config = MetricConfig.from_points(coords)
     ticks = tuple(Fraction(t) for t in range(0, 120))
-    b = build_metric_poset(config, [WorldlineSpec(n, ticks) for n in coords])
+    b = build_metric_poset(config, dict.fromkeys(coords, ticks))
     t = Fraction(60)
     chains = {c.chain_id: c for c in b.chains}
     assert not check_orthogonal_subspaces(
@@ -187,13 +186,13 @@ def _coordination_layouts():
     half = tuple(Fraction(t, 2) for t in range(1, 20))
     yield build_metric_poset(
         config,
-        [WorldlineSpec("A", fast), WorldlineSpec("B", slow), WorldlineSpec("C", half)],
+        {"A": fast, "B": slow, "C": half},
     )
     planar = MetricConfig.from_points(
         {"A": (0, 0), "B": (3, 4), "C": (8, 4), "D": (2, 1)}
     )
     yield build_metric_poset(
-        planar, [WorldlineSpec(n, fast + (Fraction(13), Fraction(14))) for n in "ABCD"]
+        planar, dict.fromkeys("ABCD", fast + (Fraction(13), Fraction(14)))
     )
 
 

@@ -6,7 +6,6 @@ import pytest
 from posetgeo import (
     MetricConfig,
     Projector,
-    WorldlineSpec,
     build_metric_poset,
     chain_pair_distance,
     dot_product,
@@ -15,7 +14,6 @@ from posetgeo import (
     geometric_identity_check,
     grid_config,
     grid_displacement_sq,
-    is_orthogonal_grid,
     lattice_1p1,
     parallel_postulate_check,
     validate_fence,
@@ -32,6 +30,7 @@ from posetgeo.errors import (
     TimeMismatch,
 )
 from posetgeo.fence import Fence, shared_chains
+from posetgeo.verify import is_orthogonal_grid
 
 from .conftest import planar_cross, planar_dot
 
@@ -56,7 +55,7 @@ def test_fence_rejects_nonuniform_spacing():
     coords = {"A": (0,), "B": (1,), "C": (3,)}
     config = MetricConfig.from_points(coords)
     ticks = tuple(Fraction(t) for t in range(0, 20))
-    b = build_metric_poset(config, [WorldlineSpec(n, ticks) for n in coords])
+    b = build_metric_poset(config, dict.fromkeys(coords, ticks))
     with pytest.raises(NonUniformSpacing):
         validate_fence(Projector(b.poset), b.chains)
 
@@ -211,7 +210,7 @@ def _planar(coords, ticks=40, **own_ticks):
     config = MetricConfig.from_points(coords)
     shared = tuple(Fraction(t) for t in range(ticks + 1))
     return build_metric_poset(
-        config, [WorldlineSpec(n, own_ticks.get(n, shared)) for n in coords]
+        config, {n: own_ticks.get(n, shared) for n in coords}
     )
 
 

@@ -7,20 +7,20 @@ from hypothesis import strategies as st
 
 from posetgeo import (
     MetricConfig,
-    WorldlineSpec,
     build_metric_poset,
     collinear_config,
     dotprod_config,
     grid_config,
     lattice_1p1,
     pythagoras_config,
+    random_dag,
     simplex_config,
     sqrt_exact,
 )
 from posetgeo.errors import EmptyWorldline, InvalidMetric
 from posetgeo.verify import _grid_layouts
 
-from .conftest import sweep_masks
+from .conftest import ReachedBuild, sweep_masks
 
 
 def sq_dist_points(a, b):
@@ -32,9 +32,7 @@ def test_order_matches_causal_rule_oracle():
     coords = {"A": (0, 0), "B": (Fraction(3, 2), 0), "C": (0, 2)}
     config = MetricConfig.from_points(coords)
     ticks = tuple(Fraction(t, 2) for t in range(0, 17))
-    bundle = build_metric_poset(
-        config, [WorldlineSpec(n, ticks) for n in coords]
-    )
+    bundle = build_metric_poset(config, dict.fromkeys(coords, ticks))
     poset = bundle.poset
     events = [
         (n, t, bundle.event(n, t)) for n in coords for t in ticks
@@ -162,16 +160,47 @@ def test_triangle_check_matches_oracle(table):
 def test_empty_worldline_rejected():
     config = MetricConfig.from_points({"A": (0,)})
     with pytest.raises(EmptyWorldline):
-        build_metric_poset(config, [WorldlineSpec("A", ())])
+        build_metric_poset(config, {"A": ()})
 
 
-def test_duplicate_worldline_rejected():
-    config = MetricConfig.from_points({"A": (0,)})
-    with pytest.raises(InvalidMetric):
-        build_metric_poset(
-            config,
-            [WorldlineSpec("A", (Fraction(0),)), WorldlineSpec("A", (Fraction(1),))],
-        )
+# the 32 x 240 ladder rung (7,953 events), the bench inputs, the largest
+# suite grid, and the largest layouts and random DAG the bounds admit
+@pytest.mark.parametrize("make", [
+    lambda: lattice_1p1(32, 240),
+    lambda: lattice_1p1(8, 60),
+    lambda: random_dag(400, 0.1, 0),
+    lambda: grid_config(4, 3, 21, 28),
+    lambda: collinear_config(2, ticks=4999),
+    lambda: simplex_config(64, ticks=155),
+    lambda: random_dag(2000, 1, 0),
+], ids=["lattice32x240", "lattice8x60", "randomdag400", "grid4x3k7",
+        "events", "positions", "randomdag"])
+def test_size_bound_admits(stop_at_build, make):
+    with pytest.raises(ReachedBuild):
+        make()
+
+
+# Just past each bound, or past it by far where the request is still
+# cheap to set up, so a missing bound stops at once in stop_at_build.
+_HUGE = 10**9
+
+
+@pytest.mark.parametrize("make", [
+    lambda: lattice_1p1(64),
+    lambda: lattice_1p1(5, _HUGE),
+    lambda: collinear_config(2, ticks=5000),
+    lambda: simplex_config(65, ticks=0),
+    lambda: grid_config(9, 8),
+    lambda: grid_config(3, 3, _HUGE),
+    lambda: pythagoras_config(_HUGE, 4),
+    lambda: dotprod_config(_HUGE),
+    lambda: random_dag(2001, 0.1, 0),
+    lambda: random_dag(_HUGE, 0.1, 0),
+], ids=["width", "ticks", "events", "positions", "grid-shape", "grid-spacing",
+        "leg", "scale", "randomdag", "randomdag-huge"])
+def test_size_bound_refuses_before_building(stop_at_build, make):
+    with pytest.raises(ValueError, match="bound"):
+        make()
 
 
 def test_simplex_config_distances():
@@ -226,10 +255,7 @@ def test_bad_params():
 
 
 def _worldlines(bundle):
-    return [
-        WorldlineSpec(c.chain_id, tuple(map(c.value, c.elements)))
-        for c in bundle.chains
-    ]
+    return {c.chain_id: tuple(map(c.value, c.elements)) for c in bundle.chains}
 
 
 def _assert_masks_match_sweep(bundle):
@@ -276,20 +302,25 @@ _EVEN_TICKS = st.builds(
     st.fractions(min_value=Fraction(1, 3), max_value=2, max_denominator=3),
     st.integers(1, 8),
 )
+_INT_TICKS = st.lists(st.integers(0, 10), min_size=1, max_size=8, unique=True).map(
+    lambda ts: tuple(sorted(ts))
+)
+_RANGES = st.builds(range, st.integers(0, 4), st.integers(5, 12), st.integers(1, 3))
 
 
 @st.composite
 def _rational_layouts(draw):
     """Two to four worldlines at rational points; each takes a shared
-    evenly spaced tick tuple, a shared uneven one, or ticks of its own."""
+    evenly spaced tick tuple, a shared uneven one, or ticks of its own.
+    Ticks are Fractions, plain ints or ranges of ints."""
     dims = draw(st.integers(1, 2))
     names = [f"w{i}" for i in range(draw(st.integers(2, 4)))]
     coords = {n: draw(st.tuples(*[_COORD] * dims)) for n in names}
-    even, uneven = draw(_EVEN_TICKS), draw(_TICKS)
-    worldlines = [
-        WorldlineSpec(n, draw(st.sampled_from([even, uneven]) | _TICKS))
+    even, uneven = draw(_EVEN_TICKS | _RANGES), draw(_TICKS | _INT_TICKS)
+    worldlines = {
+        n: draw(st.sampled_from([even, uneven]) | _TICKS | _INT_TICKS | _RANGES)
         for n in names
-    ]
+    }
     return MetricConfig.from_points(coords), worldlines
 
 
@@ -298,7 +329,7 @@ def _rational_layouts(draw):
 def test_masks_match_sweep_on_rational_layouts(layout):
     config, worldlines = layout
     bundle = build_metric_poset(config, worldlines)
-    assert list(bundle.config.positions) == [w.position_id for w in worldlines]
+    assert list(bundle.config.positions) == list(worldlines)
     _assert_masks_match_sweep(bundle)
 
 
@@ -338,7 +369,7 @@ def test_worldline_ticks_must_increase(ticks):
     """The worldline's chain checks its ticks before any mask is built,
     so a repeated tick never reaches the template step as a zero step."""
     config = MetricConfig.from_points({"A": [0], "B": [1]})
-    worldlines = [WorldlineSpec("A", ticks), WorldlineSpec("B", ticks)]
+    worldlines = {"A": ticks, "B": ticks}
     with pytest.raises(ValueError):
         build_metric_poset(config, worldlines)
 
